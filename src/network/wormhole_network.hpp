@@ -236,6 +236,10 @@ class WormholeNetwork {
   [[nodiscard]] std::int64_t channel_block_ns(std::int32_t chan) const {
     return chan_block_ns_[static_cast<std::size_t>(chan)];
   }
+  /// Every channel's counter at once, indexed by channel id.
+  [[nodiscard]] const std::vector<std::int64_t>& channel_block_ns() const {
+    return chan_block_ns_;
+  }
   /// Times `chan` was acquired (first grab + every FIFO hand-off).
   [[nodiscard]] std::uint64_t channel_acquisitions(std::int32_t chan) const {
     return chan_acq_[static_cast<std::size_t>(chan)];

@@ -1,6 +1,7 @@
 #include "traffic/traffic_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -26,7 +27,7 @@ namespace {
 /// collective incast phase). Message id = plan index + 1.
 struct MsgPlan {
   std::size_t op = 0;
-  std::int32_t phase = 0;
+  std::size_t phase = 0;
   const core::HostTree* tree = nullptr;
   topo::HostId src = topo::kInvalidId;
   topo::HostId dst = topo::kInvalidId;
@@ -298,19 +299,16 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     }
   }
 
-  // Per-(message, destination) NI-completion flags. Flat per-host bytes:
-  // each slot is written only by its owner shard's thread during a
-  // window; the coordinator reads them only at barrier instants.
-  std::vector<std::vector<std::uint8_t>> arrived(
-      plans.size(),
-      std::vector<std::uint8_t>(static_cast<std::size_t>(topology_.num_hosts()),
-                                0));
-
-  // Host-level completion records, buffered per shard during the run and
-  // merged afterwards, sorted by (time, host, message) — bit-identical
-  // serial vs sharded, as in MulticastEngine.
+  // Per-shard logs, appended only by the owning shard's thread. Host-level
+  // completion records are merged after the run, sorted by (time, host,
+  // message) — bit-identical serial vs sharded, as in MulticastEngine.
+  // The arrival log holds the message index of every NI arrival since
+  // the last sweep, which drains it at a barrier instant. An NI reports
+  // a message once, when its last packet arrives (a second copy throws),
+  // so each (message, destination) pair is logged exactly once.
   struct CompletionLog {
     std::vector<std::tuple<std::size_t, topo::HostId, sim::Time>> host_done;
+    std::vector<std::size_t> arrivals;
   };
   std::vector<std::unique_ptr<CompletionLog>> logs;
   for (std::int32_t s = 0; s < num_shards; ++s) {
@@ -320,11 +318,9 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   for (auto& [h, ni] : nis) {
     ni->on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
       const auto mi = static_cast<std::size_t>(msg - 1);
-      auto& seen = arrived[mi][static_cast<std::size_t>(dest)];
-      if (seen != 0) return;
-      seen = 1;
       CompletionLog& log = *logs[static_cast<std::size_t>(
           sharded_mode ? network.shard_of_host(dest) : 0)];
+      log.arrivals.push_back(mi);
       hosts.at(dest)->software_receive([&, logp = &log, dest, msg, mi] {
         logp->host_done.emplace_back(mi, dest, sim_for_host(dest).now());
         nis.at(dest)->after_host_receive(msg, *hosts.at(dest));
@@ -336,17 +332,28 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   // single-threaded barrier phase in sharded mode), so every admission
   // decision is a pure function of simulated history.
   struct OpState {
-    bool admitted = false;
     bool phase1_launched = false;
-    bool released = false;
     std::int32_t waited = 0;
     sim::Time admitted_at;
+    /// Messages per phase with destinations still to reach.
+    std::array<std::int32_t, 2> undone{};
   };
   std::vector<OpState> st(num_ops);
-  std::vector<std::uint8_t> msg_done(plans.size(), 0);
+  // Destinations each message has still to reach. A message without
+  // destinations (a churn re-bind down to the root alone) never counts
+  // as undone.
+  std::vector<std::int32_t> remaining(plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    remaining[i] = plans[i].expected;
+    if (remaining[i] > 0) ++st[plans[i].op].undone[plans[i].phase];
+  }
   std::vector<std::size_t> deferred;  // op indices, arrival order
-  std::vector<std::int64_t> block_scratch(
-      static_cast<std::size_t>(network.num_channels()), 0);
+  // Ops whose counters changed since the last sweep, the only ones a
+  // sweep visits, and the ops a sweep hands to the next one.
+  std::vector<std::size_t> touched;
+  std::vector<std::size_t> carried;
+  // Admitted ops whose second phase has not launched yet.
+  std::int64_t awaiting_phase1 = 0;
   std::int64_t ticks = 0;
   bool tick_active = false;
   sim::Time next_tick;
@@ -357,68 +364,54 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     nis.at(root)->start_from_host(message, *hosts.at(root));
   };
 
-  const auto refresh_msg_done = [&](std::size_t i) {
-    if (msg_done[i] != 0) return;
-    const MsgPlan& m = plans[i];
-    if (m.tree) {
-      for (topo::HostId h : m.tree->nodes) {
-        if (h != m.tree->root &&
-            arrived[i][static_cast<std::size_t>(h)] == 0) {
-          return;
-        }
-      }
-    } else if (arrived[i][static_cast<std::size_t>(m.dst)] == 0) {
-      return;
-    }
-    msg_done[i] = 1;
-  };
-  const auto all_done = [&](const std::vector<std::size_t>& msgs) {
-    for (std::size_t i : msgs) {
-      if (msg_done[i] == 0) return false;
-    }
-    return true;
-  };
-
   // One coordinator sweep, run at every coordinated instant (arrival or
-  // tick): fold the fabric's view into the scheduler, then releases
-  // before phase transitions before (at ticks) admissions, so freed
-  // capacity is visible to every decision at the same instant.
+  // tick): fold the fabric's view into the scheduler, count down the
+  // messages that reached destinations since the last sweep, then
+  // releases before phase transitions before (at ticks) admissions, so
+  // freed capacity is visible to every decision at the same instant.
+  // Touched ops are visited in ascending op index: the order of
+  // launch_msg calls sets same-instant FIFO tie-breaks in the NIs and the
+  // fabric, and sorting keeps it independent of how arrivals split
+  // across shard logs.
   const auto sweep = [&] {
-    for (std::size_t c = 0; c < block_scratch.size(); ++c) {
-      block_scratch[c] = network.channel_block_ns(static_cast<std::int32_t>(c));
-    }
-    sched.refresh_telemetry(block_scratch);
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      if (!st[op].admitted || st[op].released) continue;
-      for (std::size_t i : op_msgs0[op]) refresh_msg_done(i);
-      if (st[op].phase1_launched) {
-        for (std::size_t i : op_msgs1[op]) refresh_msg_done(i);
+    sched.refresh_telemetry(network.channel_block_ns());
+    for (const auto& log : logs) {
+      for (std::size_t i : log->arrivals) {
+        if (--remaining[i] > 0) continue;
+        const MsgPlan& m = plans[i];
+        --st[m.op].undone[m.phase];
+        touched.push_back(m.op);
       }
+      log->arrivals.clear();
     }
-    for (std::size_t op = 0; op < num_ops; ++op) {
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (std::size_t op : touched) {
       OpState& s = st[op];
-      if (!s.admitted || s.released) continue;
-      if (s.phase1_launched && all_done(op_msgs0[op]) &&
-          all_done(op_msgs1[op])) {
+      if (s.phase1_launched && s.undone[0] == 0 && s.undone[1] == 0) {
         sched.release(op_foot[op]);
-        s.released = true;
       }
     }
-    for (std::size_t op = 0; op < num_ops; ++op) {
+    // A phase 1 without destinations has nothing to count down: its op
+    // comes back at the next sweep, which releases it.
+    carried.clear();
+    for (std::size_t op : touched) {
       OpState& s = st[op];
-      if (!s.admitted || s.phase1_launched) continue;
-      if (!all_done(op_msgs0[op])) continue;
+      if (s.phase1_launched || s.undone[0] != 0) continue;
       for (std::size_t i : op_msgs1[op]) launch_msg(i);
       s.phase1_launched = true;
+      --awaiting_phase1;
+      if (s.undone[1] == 0) carried.push_back(op);
     }
+    touched.swap(carried);
   };
 
   const auto admit_op = [&](std::size_t op, sim::Time at) {
     sched.admit(op_foot[op]);
     OpState& s = st[op];
-    s.admitted = true;
     s.admitted_at = at;
     s.phase1_launched = op_msgs1[op].empty();
+    if (!s.phase1_launched) ++awaiting_phase1;
     for (std::size_t i : op_msgs0[op]) launch_msg(i);
   };
 
@@ -428,11 +421,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   // deferral happens, which makes pacing byte-identical to the FIFO
   // baseline at single-group offered load.
   const auto need_ticks = [&] {
-    if (!deferred.empty()) return true;
-    for (std::size_t op = 0; op < num_ops; ++op) {
-      if (st[op].admitted && !st[op].phase1_launched) return true;
-    }
-    return false;
+    return !deferred.empty() || awaiting_phase1 > 0;
   };
 
   // Coordination keys: one per arrival in op order, the tick chain's

@@ -116,10 +116,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          CollectiveKind::kReduce,
                                          CollectiveKind::kAllReduce)),
     [](const ::testing::TestParamInfo<Params>& pinfo) {
-      return "n" + std::to_string(std::get<0>(pinfo.param)) + "_m" +
-             std::to_string(std::get<1>(pinfo.param)) + "_k" +
-             std::to_string(std::get<2>(pinfo.param)) + "_" +
-             to_string(std::get<3>(pinfo.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_m";
+      name += std::to_string(std::get<1>(pinfo.param));
+      name += "_k";
+      name += std::to_string(std::get<2>(pinfo.param));
+      name += '_';
+      name += to_string(std::get<3>(pinfo.param));
+      return name;
     });
 
 }  // namespace

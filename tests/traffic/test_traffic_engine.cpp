@@ -186,6 +186,65 @@ TEST(TrafficEngine, PacedDefersOverlappingBurst) {
   EXPECT_TRUE(any_later);
 }
 
+TEST(TrafficEngine, ZeroDestinationRebindStillReleasesItsFootprint) {
+  const Rig rig = make_rig(37);
+  // A churn stream whose re-bound group is the root alone: its phase-1
+  // message has no destinations, so no arrival ever completes it. It
+  // must still count as done at the first sweep after its launch, or
+  // the stream would hold its footprint and the overlapping multicasts
+  // behind it (zero tolerance) would admit late.
+  std::vector<topo::HostId> dests;
+  for (topo::HostId h = 1; h < 8; ++h) dests.push_back(h);
+  const core::Chain members = core::arrange_participants(rig.cco, 0, dests);
+  const core::HostTree tree = core::HostTree::bind(
+      core::make_kbinomial(8, core::optimal_k(8, 4).k), members);
+  core::HostTree solo;
+  solo.root = tree.root;
+  solo.nodes = {tree.root};
+  solo.children[tree.root] = {};
+
+  Workload wl;
+  TrafficOp stream;
+  stream.cls = OpClass::kStream;
+  stream.arrival = sim::Time::ns(1);
+  stream.tree = tree;
+  stream.packets = 12;
+  stream.churn = true;
+  stream.split = 6;
+  stream.tree2 = solo;
+  wl.ops.push_back(stream);
+  ++wl.streams;
+  ++wl.churns;
+  for (std::int32_t i = 0; i < 3; ++i) {
+    TrafficOp op;
+    op.cls = OpClass::kMulticast;
+    op.arrival = sim::Time::us(20.0 * (i + 1));
+    op.tree = tree;
+    op.packets = 4;
+    wl.ops.push_back(op);
+    ++wl.multicasts;
+  }
+
+  TrafficConfig cfg = engine_config(Policy::kPaced);
+  cfg.scheduler.overlap_tolerance_x1000 = 0;
+  const TrafficResult r =
+      TrafficEngine{*rig.topology, *rig.routes, cfg}.run(wl);
+  // The stream delivers only its prefix; the suffix has nowhere to go.
+  EXPECT_EQ(r.ops[0].packets_delivered, 7 * 6);
+  EXPECT_EQ(r.digest, UINT64_C(0x04789bc79c461a3f));
+  EXPECT_EQ(r.makespan.count_ns(), 237'100);
+  EXPECT_EQ(r.ticks, 20);
+  EXPECT_EQ(r.deferral_ticks, 32);
+  // Op 1 admits as soon as the stream releases, four ticks before its
+  // 12-tick aging bound would force it in.
+  const std::vector<std::int64_t> admitted_ns = {1, 88'001, 136'001,
+                                                160'001};
+  ASSERT_EQ(r.ops.size(), admitted_ns.size());
+  for (std::size_t i = 0; i < r.ops.size(); ++i) {
+    EXPECT_EQ(r.ops[i].admitted.count_ns(), admitted_ns[i]) << "op " << i;
+  }
+}
+
 TEST(TrafficEngine, SerialAndShardedAreBitIdentical) {
   const Rig rig = make_rig(17, 64);
   WorkloadConfig wcfg = mix_config(20.0, 24);
