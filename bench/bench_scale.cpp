@@ -16,7 +16,8 @@
 //                     (default results/BENCH_sim_core.json): re-runs that
 //                     bench's serial 64-host sweep and fails if wall time
 //                     exceeds 1.10x the recorded value after normalizing
-//                     by the churn microbench ratio (machine speed), i.e.
+//                     by the ratio of the frozen seed queue's churn
+//                     events/sec now vs at recording (machine speed), i.e.
 //                     if 64-host throughput regressed > 10%.
 
 #include <algorithm>
@@ -436,11 +437,14 @@ ShardedGrid measure_sharded_grid(bool quick) {
 
 // ---------------------------------------------------------------------------
 // Perf gate: the recorded BENCH_sim_core.json holds the 64-host serial
-// sweep wall time and the churn events/sec of the machine that recorded
-// it. Re-running churn here measures *this* machine; scaling the
-// recorded wall by the churn ratio predicts what the recorded build
-// would score on this box, making the 10% regression gate portable
-// across hardware.
+// sweep wall time and the seed queue's churn events/sec on the machine
+// that recorded it. Re-running that churn here measures *this* machine;
+// scaling the recorded wall by the churn ratio predicts what the
+// recorded build would score on this box, making the 10% regression gate
+// portable across hardware. The probe runs the frozen seed queue
+// (bench::LegacyEventQueue), never sim::EventQueue: a probe over the
+// queue under test would move with it and cancel out exactly the
+// event-core regressions the gate is meant to catch.
 
 /// Churn microbench probe (machine-speed scale), measured once per
 /// process no matter how many callers normalize against it. The probe
@@ -449,8 +453,8 @@ ShardedGrid measure_sharded_grid(bool quick) {
 /// at most once instead of re-deriving it per gate invocation.
 const bench::ChurnResult& churn_probe() {
   static const bench::ChurnResult probe = [] {
-    (void)bench::churn_new(200'000, 512);  // warm-up
-    return bench::churn_new(2'000'000, 512);
+    (void)bench::churn_legacy(200'000, 512);  // warm-up
+    return bench::churn_legacy(2'000'000, 512);
   }();
   return probe;
 }
@@ -485,10 +489,12 @@ GateResult run_gate(const std::string& baseline_path) {
     bench::expect_shape(false, "gate baseline not readable: " + baseline_path);
     return g;
   }
-  const double recorded_churn = extract_json_number(text, "events_per_sec");
+  const double recorded_churn =
+      extract_json_number(text, "events_per_sec_seed_baseline");
   g.recorded_wall_ms = extract_json_number(text, "wall_ms_serial");
   if (recorded_churn <= 0.0 || g.recorded_wall_ms <= 0.0) {
-    bench::expect_shape(false, "gate baseline missing events_per_sec / "
+    bench::expect_shape(false, "gate baseline missing "
+                               "events_per_sec_seed_baseline / "
                                "wall_ms_serial: " + baseline_path);
     return g;
   }

@@ -157,7 +157,12 @@ WorkerPool::WorkerPool(int threads) {
 }
 
 WorkerPool::~WorkerPool() {
-  for (auto& t : threads_) t.request_stop();
+  {
+    // Under the mutex: a worker that has just found its wait predicate
+    // false must not miss this stop request and the wake-up below.
+    std::lock_guard lock{mutex_};
+    for (auto& t : threads_) t.request_stop();
+  }
   work_ready_.notify_all();
   // jthread joins on destruction.
 }

@@ -130,28 +130,38 @@ class EventCallback {
 
 /// A time-ordered queue of callbacks.
 ///
-/// Ties in time are broken by insertion sequence number, so two events
+/// Events fire in ascending (time, hi, lo) order. The plain schedule()
+/// path uses (0, insertion counter) as the tie-break key, so two events
 /// scheduled for the same instant fire in the order they were scheduled.
 /// This FIFO tie-break is load-bearing for determinism: NI coprocessors
 /// schedule sends at identical times and the paper's disciplines (FCFS,
-/// FPFS) are defined by service *order*.
+/// FPFS) are defined by service *order*. schedule_keyed() lets a caller
+/// supply the (hi, lo) key explicitly; the sharded simulator passes
+/// (schedule-time, lineage key) so that events merged across shard
+/// queues keep the order a serial execution would have given them (a
+/// serial run's insertion counter is monotone in schedule time, so the
+/// two keyings agree whenever schedule times differ; rekey_lo() lets the
+/// sharded simulator finalize lineage keys at window barriers once global
+/// dispatch ordinals are known).
 ///
-/// Implementation: an indexed 4-ary min-heap over a slab of pooled event
-/// slots. Scheduling allocates nothing on the hot path (slot reuse +
-/// inline callback storage), cancellation removes the heap entry and
-/// frees the slot immediately (O(log n), no tombstones), and stale
-/// EventIds are rejected by a per-slot generation counter. Not
-/// thread-safe; each worker thread owns its own queue.
-///
-/// The tie-break key is a 128-bit (hi, lo) pair. The plain schedule()
-/// path uses (0, insertion counter) — pure FIFO, the historical
-/// behaviour. schedule_keyed() lets a caller supply the key explicitly;
-/// the sharded simulator passes (schedule-time, lineage key) so that
-/// events merged across shard queues keep the order a serial execution
-/// would have given them (a serial run's insertion counter is monotone
-/// in schedule time, so the two keyings agree whenever schedule times
-/// differ; rekey_lo() lets the sharded driver finalize lineage keys at
-/// window barriers once global dispatch ordinals are known).
+/// Implementation: per-instant buckets over a slab of pooled event
+/// slots. The paper's timing model puts events on a coarse grid (fixed NI
+/// overheads, t_hop per hop, FPFS waves stepping forward together), so
+/// most events land on an instant that is already pending. Each distinct
+/// pending instant owns one bucket: a doubly-linked list threaded through
+/// the slots' prev/next indices, kept sorted by (hi, lo). A flat
+/// open-addressing map finds an instant's bucket, and a small indexed
+/// 4-ary min-heap orders the buckets by time. Scheduling is one map probe
+/// plus an append at the bucket's tail (a key smaller than the tail's is
+/// walked back from the tail, or goes straight to the head when it is
+/// smaller than the head's); popping unlinks the head of the earliest
+/// bucket. Heap work is paid once per distinct instant — when a bucket is
+/// created and when it empties — not once per event. Cancellation
+/// unlinks the event and frees its slot immediately (no tombstones), and
+/// stale EventIds are rejected by a per-slot generation counter.
+/// Scheduling allocates nothing on the hot path (slot and bucket reuse,
+/// inline callback storage). Not thread-safe; each worker thread owns its
+/// own queue.
 class EventQueue {
  public:
   using Callback = EventCallback;
@@ -169,21 +179,26 @@ class EventQueue {
   }
 
   /// Schedules `f` at `when` with an explicit (hi, lo) tie-break key:
-  /// events at the same time fire in ascending (hi, lo) order. Mixing
-  /// schedule() and schedule_keyed() on one queue is allowed but the
-  /// keys then come from different spaces; callers that need a total
-  /// order must pick one keying per queue.
+  /// events at the same time fire in ascending (hi, lo) order, and equal
+  /// keys in the order they were scheduled. Mixing schedule() and
+  /// schedule_keyed() on one queue is allowed but the keys then come from
+  /// different spaces; callers that need a total order must pick one
+  /// keying per queue.
   template <typename F>
   EventId schedule_keyed(Time when, std::uint64_t hi, std::uint64_t lo,
                          F&& f) {
-    EventCallback cb;
-    cb.emplace(std::forward<F>(f), *pool_);
-    assert(cb && "scheduling an empty callback");
     const std::uint32_t slot = acquire_slot();
     Slot& s = slab_[slot];
-    s.time = when;
-    s.cb = std::move(cb);
-    heap_push(when, hi, lo, slot);
+    try {
+      s.cb.emplace(std::forward<F>(f), *pool_);
+    } catch (...) {
+      release_slot(slot);
+      throw;
+    }
+    assert(s.cb && "scheduling an empty callback");
+    s.hi = hi;
+    s.lo = lo;
+    insert(slot, when);
     return EventId{make_id(slot, s.generation)};
   }
 
@@ -196,15 +211,15 @@ class EventQueue {
   [[nodiscard]] std::uint64_t reserve_order() { return next_order_++; }
 
   /// Cancels a pending event. Returns false when the event already fired
-  /// or was cancelled before. The heap entry is removed and the slot is
-  /// freed immediately, so schedule/cancel churn (e.g. retry timers) does
-  /// not grow the queue.
+  /// or was cancelled before. The event is unlinked and its slot freed
+  /// immediately, so schedule/cancel churn (e.g. retry timers) does not
+  /// grow the queue.
   bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Pre-sizes the slot slab and heap for `n` concurrent events.
+  /// Pre-sizes the slot slab and bucket storage for `n` concurrent events.
   void reserve(std::size_t n);
 
   /// Time of the earliest pending event. Queue must be non-empty.
@@ -226,26 +241,27 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Applies `fn(time, hi, lo) -> lo` to every pending entry and restores
-  /// the heap invariant in one pass (the heapify runs only when some key
-  /// actually changed). The sharded driver uses this to replace
-  /// provisional lineage keys with final ones — as an amortized
-  /// compaction pass and, filtered by (time, hi), when cross-shard mail
-  /// could tie a provisional key; `fn` must be order-preserving over the
-  /// entries it changes relative to the ones it leaves alone (the ordinal
-  /// assignment is).
+  /// Applies `fn(time, hi, lo) -> lo` to every pending entry and
+  /// re-sorts each bucket in which some key actually changed (a rekey
+  /// never moves an event to another instant, so the heap is untouched).
+  /// The sharded simulator uses this to replace provisional lineage keys
+  /// with final ones — as an amortized compaction pass and, filtered by
+  /// (time, hi), when cross-shard mail could tie a provisional key.
   template <typename Fn>
   void rekey_lo(Fn&& fn) {
-    bool changed = false;
-    for (HeapEntry& e : heap_) {
-      const std::uint64_t lo = fn(e.time, e.hi, e.lo);
-      if (lo != e.lo) {
-        e.lo = lo;
-        changed = true;
+    for (const HeapEntry& e : heap_) {
+      const Bucket& b = buckets_[e.bucket];
+      bool changed = false;
+      for (std::uint32_t i = b.head; i != kNone; i = slab_[i].next) {
+        Slot& s = slab_[i];
+        const std::uint64_t lo = fn(b.time, s.hi, s.lo);
+        if (lo != s.lo) {
+          s.lo = lo;
+          changed = true;
+        }
       }
+      if (changed) resort(e.bucket);
     }
-    if (!changed || heap_.size() < 2) return;
-    for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) sift_down(i);
   }
 
   /// Number of event slots allocated in the slab (live + free-listed).
@@ -253,43 +269,72 @@ class EventQueue {
   /// the peak number of *concurrently pending* events.
   [[nodiscard]] std::size_t slot_capacity() const { return slab_.size(); }
 
+  /// Number of instant buckets allocated (live + free-listed); bounded
+  /// like slot_capacity() by the peak number of pending events.
+  [[nodiscard]] std::size_t bucket_capacity() const { return buckets_.size(); }
+
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// One pending (or free-listed) event. prev/next link the slots of one
+  /// bucket; a free slot's `next` links the slot free list.
   struct Slot {
-    Time time{};
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
     std::uint32_t generation = 1;
-    std::uint32_t heap_index = kNoHeapIndex;
+    std::uint32_t bucket = kNone;  // kNone while the slot is free
+    std::uint32_t prev = kNone;
+    std::uint32_t next = kNone;
     EventCallback cb;
+  };
+  /// The pending events of one instant, head to tail in (hi, lo) order.
+  /// A free bucket's `head` links the bucket free list.
+  struct Bucket {
+    Time time;
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+    std::uint32_t heap_index = kNone;
   };
   struct HeapEntry {
     Time time;
-    std::uint64_t hi;
-    std::uint64_t lo;
-    std::uint32_t slot;
+    std::uint32_t bucket;
   };
-  static constexpr std::uint32_t kNoHeapIndex = 0xffffffffu;
+  /// Open-addressing (linear probing) map entry: instant -> bucket.
+  struct MapEntry {
+    Time::rep time = 0;
+    std::uint32_t bucket = kNone;  // kNone marks an empty entry
+  };
 
   static std::uint64_t make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<std::uint64_t>(generation) << 32) | slot;
   }
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.hi != b.hi) return a.hi < b.hi;
-    return a.lo < b.lo;
-  }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void heap_push(Time time, std::uint64_t hi, std::uint64_t lo,
-                 std::uint32_t slot);
+  void insert(std::uint32_t slot, Time when);
+  void unlink(std::uint32_t slot);
+  void resort(std::uint32_t bucket);
+
+  std::uint32_t bucket_for(Time when);
+  void drop_bucket(std::uint32_t bucket);
+  [[nodiscard]] std::size_t home(Time::rep time) const;
+  void map_erase(Time::rep time);
+  void map_grow();
+
   void heap_remove(std::size_t index);
   std::size_t sift_up(std::size_t index);
   void sift_down(std::size_t index);
 
   std::vector<Slot> slab_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<Bucket> buckets_;
   std::vector<HeapEntry> heap_;
+  std::vector<MapEntry> map_;
   std::unique_ptr<EventPool> pool_;
   std::uint64_t next_order_ = 1;
+  std::size_t size_ = 0;
+  std::uint32_t free_slot_ = kNone;
+  std::uint32_t free_bucket_ = kNone;
+  unsigned map_shift_ = 64;  // 64 - log2(map_.size())
 };
 
 }  // namespace nimcast::sim

@@ -119,7 +119,7 @@ void ShardedSimulator::flush_outboxes() {
   // A mailed event can tie a still-provisional local key at the same
   // (time, hi): both schedule calls happened at the same instant, in the
   // window just closed, so the local key's parent ordinal is known —
-  // finalize exactly the tying keys so the receiver's heap compares them
+  // finalize exactly the tying keys so the receiver's queue orders them
   // against the mailed final key in true serial order. Everything else
   // stays provisional (order-correct locally) until a compaction.
   for (std::size_t s = 0; s < shards_.size(); ++s) {

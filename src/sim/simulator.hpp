@@ -129,9 +129,9 @@ class Simulator {
   }
 
   /// Rewrites every pending provisional lineage key with `fn`
-  /// (provisional lo -> final lo) in one heap pass. The sharded driver
-  /// runs this as an *amortized compaction* (table-trim points and
-  /// run() exit), not per window. Single-threaded phases only.
+  /// (provisional lo -> final lo) in one pass over the queue.
+  /// ShardedSimulator runs this as an *amortized compaction* (table-trim
+  /// points and run() exit), not per window. Single-threaded phases only.
   template <typename Fn>
   void rekey_provisional(Fn&& fn) {
     queue_.rekey_lo([&fn](Time, std::uint64_t, std::uint64_t lo) {
