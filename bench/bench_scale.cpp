@@ -14,11 +14,14 @@
 //   --gate-baseline [path]
 //                     perf gate against a recorded BENCH_sim_core.json
 //                     (default results/BENCH_sim_core.json): re-runs that
-//                     bench's serial 64-host sweep and fails if wall time
-//                     exceeds 1.10x the recorded value after normalizing
-//                     by the ratio of the frozen seed queue's churn
-//                     events/sec now vs at recording (machine speed), i.e.
-//                     if 64-host throughput regressed > 10%.
+//                     bench's serial 64-host sweep and its 1024-host
+//                     broadcast deep-queue point and fails if either's
+//                     wall time exceeds 1.10x the recorded value after
+//                     normalizing by the ratio of the frozen seed queue's
+//                     churn events/sec now vs at recording (machine
+//                     speed), i.e. if throughput regressed > 10%. Every
+//                     side of that comparison is the median of
+//                     bench::kGateTrials trials.
 
 #include <algorithm>
 #include <chrono>
@@ -446,15 +449,18 @@ ShardedGrid measure_sharded_grid(bool quick) {
 // queue under test would move with it and cancel out exactly the
 // event-core regressions the gate is meant to catch.
 
-/// Churn microbench probe (machine-speed scale), measured once per
-/// process no matter how many callers normalize against it. The probe
-/// is full-size regardless of --quick — the recorded baselines are
-/// full-size — but hoisting it here means a quick-mode run pays for it
-/// at most once instead of re-deriving it per gate invocation.
-const bench::ChurnResult& churn_probe() {
-  static const bench::ChurnResult probe = [] {
+/// Churn microbench probe (machine-speed scale): the median of
+/// bench::kGateTrials runs, measured once per process no matter how many
+/// callers normalize against it. The probe is full-size regardless of
+/// --quick — the recorded baselines are full-size — but hoisting it here
+/// means a quick-mode run pays for it at most once.
+double churn_probe() {
+  static const double probe = [] {
     (void)bench::churn_legacy(200'000, 512);  // warm-up
-    return bench::churn_legacy(2'000'000, 512);
+    return bench::run_trials([] {
+             return bench::churn_legacy(2'000'000, 512).events_per_sec;
+           })
+        .median;
   }();
   return probe;
 }
@@ -466,14 +472,38 @@ double extract_json_number(const std::string& text, const char* key) {
   return std::strtod(text.c_str() + pos + needle.size(), nullptr);
 }
 
-struct GateResult {
-  bool ran = false;
-  double machine_scale = 0.0;   ///< churn now / churn recorded
-  double recorded_wall_ms = 0.0;
-  double predicted_wall_ms = 0.0;
-  double actual_wall_ms = 0.0;
+/// One gated workload: recorded vs predicted vs measured median.
+struct GatePoint {
+  double recorded_ms = 0.0;
+  double predicted_ms = 0.0;
+  bench::TrialStats measured;
   bool passed = true;
 };
+
+struct GateResult {
+  bool ran = false;
+  double machine_scale = 0.0;  ///< churn now / churn recorded
+  GatePoint sweep;             ///< 64-host paper-rig sweep
+  GatePoint bcast;             ///< 1024-host broadcast deep-queue point
+  bool passed = true;
+};
+
+GatePoint gate_point(const char* what, double recorded_ms,
+                     double machine_scale, const bench::TrialStats& now) {
+  GatePoint p;
+  p.recorded_ms = recorded_ms;
+  p.predicted_ms = recorded_ms / machine_scale;
+  p.measured = now;
+  p.passed = now.median <= 1.10 * p.predicted_ms;
+  std::printf("perf gate %-22s: recorded %.1f ms -> predicted %.1f ms; "
+              "measured median %.1f ms (quartiles %.1f - %.1f) (%s)\n",
+              what, p.recorded_ms, p.predicted_ms, now.median, now.q1, now.q3,
+              p.passed ? "PASS" : "FAIL");
+  bench::expect_shape(p.passed, std::string(what) +
+                                    " within 10% of recorded baseline "
+                                    "(machine-normalized medians)");
+  return p;
+}
 
 GateResult run_gate(const std::string& baseline_path) {
   GateResult g;
@@ -491,41 +521,39 @@ GateResult run_gate(const std::string& baseline_path) {
   }
   const double recorded_churn =
       extract_json_number(text, "events_per_sec_seed_baseline");
-  g.recorded_wall_ms = extract_json_number(text, "wall_ms_serial");
-  if (recorded_churn <= 0.0 || g.recorded_wall_ms <= 0.0) {
+  const double recorded_sweep = extract_json_number(text, "wall_ms_serial");
+  const double recorded_bcast = extract_json_number(text, "bcast1024_wall_ms");
+  if (recorded_churn <= 0.0 || recorded_sweep <= 0.0 || recorded_bcast <= 0.0) {
     bench::expect_shape(false, "gate baseline missing "
                                "events_per_sec_seed_baseline / "
-                               "wall_ms_serial: " + baseline_path);
+                               "wall_ms_serial / bcast1024_wall_ms: " +
+                                   baseline_path);
     return g;
   }
 
-  // Full-size sweep regardless of --quick: the recorded numbers are
-  // full-size, and it finishes in ~1 s. The churn probe is the shared
-  // once-per-process one.
-  g.machine_scale = churn_probe().events_per_sec / recorded_churn;
+  // Full-size workloads regardless of --quick: the recorded numbers are
+  // full-size. The churn probe is the shared once-per-process one.
+  g.machine_scale = churn_probe() / recorded_churn;
+  std::printf("\nperf gate: machine-scale %.2fx (median churn probe)\n",
+              g.machine_scale);
 
   harness::IrregularTestbed::Config cfg;  // the paper rig, full size
   const harness::IrregularTestbed bed{cfg};
-  const auto start = Clock::now();
-  for (const std::int32_t n : {16, 32, 64}) {
-    for (const std::int32_t m : {1, 4}) {
-      (void)bed.measure(n, m, harness::TreeSpec::optimal(),
-                        mcast::NiStyle::kSmartFpfs,
-                        harness::OrderingKind::kCco, 1);
-    }
-  }
-  g.actual_wall_ms = ms_since(start);
-  g.predicted_wall_ms = g.recorded_wall_ms / g.machine_scale;
-  g.passed = g.actual_wall_ms <= 1.10 * g.predicted_wall_ms;
-  g.ran = true;
+  (void)bench::run_sweep(bed, 1);  // warm-up
+  const bench::TrialStats sweep =
+      bench::run_trials([&] { return bench::run_sweep(bed, 1).wall_ms; });
+  g.sweep = gate_point("64-host serial sweep", recorded_sweep, g.machine_scale,
+                       sweep);
 
-  std::printf("\nperf gate: recorded %.1f ms, machine-scale %.2fx -> "
-              "predicted %.1f ms; measured %.1f ms (%s)\n",
-              g.recorded_wall_ms, g.machine_scale, g.predicted_wall_ms,
-              g.actual_wall_ms, g.passed ? "PASS" : "FAIL");
-  bench::expect_shape(g.passed,
-                      "64-host serial sweep within 10% of recorded "
-                      "baseline (machine-normalized)");
+  const bench::DeepQueuePoint deep;
+  (void)deep.run_ms();  // warm-up
+  const bench::TrialStats bcast =
+      bench::run_trials([&] { return deep.run_ms(); });
+  g.bcast = gate_point("1024-host broadcast", recorded_bcast, g.machine_scale,
+                       bcast);
+
+  g.passed = g.sweep.passed && g.bcast.passed;
+  g.ran = true;
   return g;
 }
 
@@ -605,12 +633,23 @@ int main(int argc, char** argv) {
                  storage.compressed_build_ms, storage.eager_bytes,
                  storage.compressed_bytes, storage.memory_ratio);
     if (gate_result.ran) {
+      const auto point_json = [](const GatePoint& p) {
+        char buf[256];
+        std::snprintf(buf, sizeof buf,
+                      "{\"recorded_wall_ms\": %.2f, \"predicted_wall_ms\": "
+                      "%.2f, \"actual_wall_ms\": %.2f, \"actual_wall_ms_q1\": "
+                      "%.2f, \"actual_wall_ms_q3\": %.2f, \"passed\": %s}",
+                      p.recorded_ms, p.predicted_ms, p.measured.median,
+                      p.measured.q1, p.measured.q3,
+                      p.passed ? "true" : "false");
+        return std::string{buf};
+      };
       std::fprintf(out,
-                   "  \"gate\": {\"machine_scale\": %.3f, "
-                   "\"recorded_wall_ms\": %.2f, \"predicted_wall_ms\": "
-                   "%.2f, \"actual_wall_ms\": %.2f, \"passed\": %s},\n",
-                   gate_result.machine_scale, gate_result.recorded_wall_ms,
-                   gate_result.predicted_wall_ms, gate_result.actual_wall_ms,
+                   "  \"gate\": {\"trials\": %d, \"machine_scale\": %.3f, "
+                   "\"sweep\": %s, \"bcast1024\": %s, \"passed\": %s},\n",
+                   bench::kGateTrials, gate_result.machine_scale,
+                   point_json(gate_result.sweep).c_str(),
+                   point_json(gate_result.bcast).c_str(),
                    gate_result.passed ? "true" : "false");
     }
     // Machine-speed probe recorded alongside the wall-time metrics so a
@@ -621,8 +660,7 @@ int main(int argc, char** argv) {
                  "  \"peak_rss_kb\": %zu,\n"
                  "  \"git_rev\": \"%s\"\n"
                  "}\n",
-                 churn_probe().events_per_sec, peak_rss_kb(),
-                 bench::git_rev().c_str());
+                 churn_probe(), peak_rss_kb(), bench::git_rev().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
   } else {

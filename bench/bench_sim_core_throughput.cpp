@@ -4,10 +4,12 @@
 // std::unordered_map<seq, std::function> with lazy cancellation), and
 // (b) end-to-end wall time of the paper's Section 5.2 testbed sweep,
 // serial vs. the NIMCAST_THREADS worker pool, with a bit-identity check
-// between the two. Emits BENCH_sim_core.json (see docs/perf.md) so the
-// perf trajectory is recorded run over run.
+// between the two, plus (c) the perf gate's 1024-host deep-queue
+// broadcast point. Every timed quantity is the median of
+// bench::kGateTrials trials, recorded with its quartiles. Emits
+// BENCH_sim_core.json (see docs/perf.md) so the perf trajectory is
+// recorded run over run; bench_scale --gate-baseline reads it back.
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -20,37 +22,6 @@
 using namespace nimcast;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ms_since(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-// ---------------------------------------------------------------------------
-// Sweep wall-time: the paper rig replayed at several (n, m) points, the
-// workload every figure bench replays.
-
-struct SweepResult {
-  double wall_ms = 0.0;
-  std::vector<harness::MeasurePoint> points;
-};
-
-SweepResult run_sweep(const harness::IrregularTestbed& bed, int threads) {
-  SweepResult result;
-  const auto start = Clock::now();
-  for (const std::int32_t n : {16, 32, 64}) {
-    for (const std::int32_t m : {1, 4}) {
-      result.points.push_back(bed.measure(n, m, harness::TreeSpec::optimal(),
-                                          mcast::NiStyle::kSmartFpfs,
-                                          harness::OrderingKind::kCco,
-                                          threads));
-    }
-  }
-  result.wall_ms = ms_since(start);
-  return result;
-}
 
 bool identical(const sim::Summary& a, const sim::Summary& b) {
   return a.count() == b.count() && a.mean() == b.mean() &&
@@ -75,40 +46,49 @@ int main() {
   const std::uint64_t churn_events = quick ? 200'000 : 2'000'000;
   const int churn_depth = 512;
 
-  // Warm-up + measured run for each queue.
-  (void)bench::churn_new(churn_events / 10, churn_depth);
-  (void)bench::churn_legacy(churn_events / 10, churn_depth);
-  const bench::ChurnResult fast = bench::churn_new(churn_events, churn_depth);
-  const bench::ChurnResult slow =
-      bench::churn_legacy(churn_events, churn_depth);
-  bench::expect_shape(fast.checksum == slow.checksum,
-                      "churn workloads diverged (checksum mismatch)");
-  const double core_speedup = fast.events_per_sec / slow.events_per_sec;
+  // Warm-up (which doubles as the equivalence check), then kGateTrials
+  // measured runs of each queue.
+  bench::expect_shape(
+      bench::churn_new(churn_events / 10, churn_depth).checksum ==
+          bench::churn_legacy(churn_events / 10, churn_depth).checksum,
+      "churn workloads diverged (checksum mismatch)");
+  const bench::TrialStats fast = bench::run_trials([&] {
+    return bench::churn_new(churn_events, churn_depth).events_per_sec;
+  });
+  const bench::TrialStats slow = bench::run_trials([&] {
+    return bench::churn_legacy(churn_events, churn_depth).events_per_sec;
+  });
+  const double core_speedup = fast.median / slow.median;
   std::printf("event core     : %.3g events/sec (per-instant buckets)\n",
-              fast.events_per_sec);
+              fast.median);
   std::printf("seed baseline  : %.3g events/sec (priority_queue + "
               "unordered_map)\n",
-              slow.events_per_sec);
-  std::printf("single-thread speedup: %.2fx\n\n", core_speedup);
+              slow.median);
+  std::printf("single-thread speedup: %.2fx (medians of %d trials)\n\n",
+              core_speedup, bench::kGateTrials);
   bench::expect_shape(core_speedup >= 1.3,
                       "event core >= 1.3x seed queue events/sec");
 
   const int threads = harness::configured_threads();
   const harness::IrregularTestbed bed{bench::paper_testbed_config()};
 
-  const SweepResult serial = run_sweep(bed, 1);
-  const SweepResult parallel = run_sweep(bed, threads);
+  const bench::SweepResult serial_ref = bench::run_sweep(bed, 1);
+  const bench::SweepResult parallel_ref = bench::run_sweep(bed, threads);
   bool all_identical = true;
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    all_identical =
-        all_identical && identical(serial.points[i], parallel.points[i]);
+  for (std::size_t i = 0; i < serial_ref.points.size(); ++i) {
+    all_identical = all_identical &&
+                    identical(serial_ref.points[i], parallel_ref.points[i]);
   }
   bench::expect_shape(all_identical,
                       "parallel sweep bit-identical to serial sweep");
-  const double sweep_speedup = serial.wall_ms / parallel.wall_ms;
+  const bench::TrialStats serial =
+      bench::run_trials([&] { return bench::run_sweep(bed, 1).wall_ms; });
+  const bench::TrialStats parallel = bench::run_trials(
+      [&] { return bench::run_sweep(bed, threads).wall_ms; });
+  const double sweep_speedup = serial.median / parallel.median;
   std::printf("paper-rig sweep: serial %.1f ms, %d threads %.1f ms "
               "(%.2fx)\n",
-              serial.wall_ms, threads, parallel.wall_ms, sweep_speedup);
+              serial.median, threads, parallel.median, sweep_speedup);
   // The >= 3x gate only means something when the threads map onto real
   // cores and the sweep is long enough to dominate timing noise; quick
   // mode (~10 ms sweeps) and oversubscribed single-core boxes would
@@ -124,6 +104,13 @@ int main() {
                 threads, hw, quick ? 1 : 0);
   }
 
+  const bench::DeepQueuePoint deep;
+  (void)deep.run_ms();  // warm-up: materializes the routes it touches
+  const bench::TrialStats bcast =
+      bench::run_trials([&] { return deep.run_ms(); });
+  std::printf("1024-host broadcast: %.1f ms (quartiles %.1f - %.1f)\n",
+              bcast.median, bcast.q1, bcast.q3);
+
   const char* out_path = std::getenv("NIMCAST_BENCH_OUT");
   if (out_path == nullptr) out_path = "BENCH_sim_core.json";
   if (FILE* out = std::fopen(out_path, "w")) {
@@ -136,22 +123,31 @@ int main() {
         "    \"churn_events\": %" PRIu64 ",\n"
         "    \"churn_depth\": %d,\n"
         "    \"sweep\": \"irregular 64-host rig, n in {16,32,64}, m in "
-        "{1,4}, optimal tree, smart-fpfs\"\n"
+        "{1,4}, optimal tree, smart-fpfs\",\n"
+        "    \"deep_queue\": \"fat_tree 1024 hosts, 4 full broadcasts, "
+        "m=16, optimal tree, smart-fpfs, serial\"\n"
         "  },\n"
+        "  \"trials\": %d,\n"
         "  \"events_per_sec\": %.1f,\n"
         "  \"events_per_sec_seed_baseline\": %.1f,\n"
         "  \"event_core_speedup\": %.3f,\n"
         "  \"wall_ms\": %.2f,\n"
         "  \"wall_ms_serial\": %.2f,\n"
+        "  \"wall_ms_serial_q1\": %.2f,\n"
+        "  \"wall_ms_serial_q3\": %.2f,\n"
+        "  \"bcast1024_wall_ms\": %.2f,\n"
+        "  \"bcast1024_wall_ms_q1\": %.2f,\n"
+        "  \"bcast1024_wall_ms_q3\": %.2f,\n"
         "  \"sweep_speedup\": %.3f,\n"
         "  \"parallel_bit_identical\": %s,\n"
         "  \"threads\": %d,\n"
         "  \"git_rev\": \"%s\"\n"
         "}\n",
         quick ? "true" : "false", churn_events, churn_depth,
-        fast.events_per_sec, slow.events_per_sec, core_speedup,
-        parallel.wall_ms, serial.wall_ms, sweep_speedup,
-        all_identical ? "true" : "false", threads, bench::git_rev().c_str());
+        bench::kGateTrials, fast.median, slow.median, core_speedup,
+        parallel.median, serial.median, serial.q1, serial.q3, bcast.median,
+        bcast.q1, bcast.q3, sweep_speedup, all_identical ? "true" : "false",
+        threads, bench::git_rev().c_str());
     std::fclose(out);
     std::printf("wrote %s\n", out_path);
   } else {

@@ -6,6 +6,7 @@
 // self-checks the qualitative *shape* the paper reports (who wins, how
 // trends move). A failed shape check exits non-zero so CI catches drift.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -183,6 +184,97 @@ inline ChurnResult churn_new(std::uint64_t total_events, int depth) {
             fired.time, std::move(fired.cb)};
       });
 }
+
+// ---------------------------------------------------------------------------
+// Perf-gate workloads and their statistic. bench_sim_core_throughput
+// records the baseline (results/BENCH_sim_core.json) and bench_scale
+// --gate-baseline re-measures it; both take the median of kGateTrials
+// trials of every timed quantity, the machine probe included, because
+// one shot of any of them moves 10-20% run to run on a shared box.
+
+inline constexpr int kGateTrials = 5;
+
+/// Median and quartiles of repeated trials (linear interpolation).
+struct TrialStats {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+};
+
+inline TrialStats trial_stats(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    if (lo + 1 >= v.size()) return v[lo];
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[lo + 1] - v[lo]);
+  };
+  return TrialStats{at(0.5), at(0.25), at(0.75)};
+}
+
+/// Runs `trial` (returning one measurement) kGateTrials times.
+template <typename F>
+TrialStats run_trials(F&& trial) {
+  std::vector<double> v;
+  for (int i = 0; i < kGateTrials; ++i) v.push_back(trial());
+  return trial_stats(std::move(v));
+}
+
+/// The paper-rig sweep: irregular 64-host rig, n in {16, 32, 64},
+/// m in {1, 4}, optimal tree, smart FPFS, CCO ordering.
+struct SweepResult {
+  double wall_ms = 0.0;
+  std::vector<harness::MeasurePoint> points;
+};
+
+inline SweepResult run_sweep(const harness::IrregularTestbed& bed,
+                             int threads) {
+  using Clock = std::chrono::steady_clock;
+  SweepResult result;
+  const auto start = Clock::now();
+  for (const std::int32_t n : {16, 32, 64}) {
+    for (const std::int32_t m : {1, 4}) {
+      result.points.push_back(bed.measure(n, m, harness::TreeSpec::optimal(),
+                                          mcast::NiStyle::kSmartFpfs,
+                                          harness::OrderingKind::kCco,
+                                          threads));
+    }
+  }
+  result.wall_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
+  return result;
+}
+
+/// The gate's deep-queue point: full m = 16 broadcasts on the 1024-host
+/// fat tree, optimal tree, smart FPFS, one thread. Where the paper-rig
+/// sweep keeps a few dozen events pending, this keeps thousands, and
+/// every host's NI forwards, so the event core and the NI layer carry
+/// its wall time.
+class DeepQueuePoint {
+ public:
+  DeepQueuePoint() : bed_{spec()} {}
+
+  /// Wall ms of one trial (four broadcasts).
+  [[nodiscard]] double run_ms() const {
+    using Clock = std::chrono::steady_clock;
+    const auto start = Clock::now();
+    (void)bed_.measure(kHosts, 16, harness::TreeSpec::optimal(),
+                       mcast::NiStyle::kSmartFpfs,
+                       harness::OrderingKind::kCco, 1);
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+  }
+
+ private:
+  static constexpr std::int32_t kHosts = 1024;
+  static harness::TestbedSpec spec() {
+    harness::TestbedSpec s = harness::TestbedSpec::make_fat_tree(kHosts);
+    s.num_topologies = 1;
+    s.sets_per_topology = 4;
+    return s;
+  }
+  harness::Testbed bed_;
+};
 
 /// JSON object describing a rotation set's measured channel overlap —
 /// how decorrelated the planner actually got the member trees. Fixed

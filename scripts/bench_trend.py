@@ -11,6 +11,12 @@ events_per_sec) are normalized by the churn machine-speed probe recorded
 in each run's BENCH_scale.json (machine_probe_events_per_sec) when both
 sides carry one; otherwise they are compared raw and flagged.
 
+Timed medians that carry their quartiles (the perf gate's workloads in
+BENCH_sim_core.json and in BENCH_scale.json's gate block) get a second
+table: the delta of the medians set against the measured spread, the
+larger interquartile range of the two runs. A delta inside the spread is
+noise, whatever its percentage.
+
 Exit code is always 0: the trend is informational — the hard perf gate
 lives in bench_scale --gate-baseline. Stdlib only.
 """
@@ -34,6 +40,50 @@ BENCH_KEYS = {
     "traffic": (("rig", "ops_per_ms", "policy"),
                 ("ops_per_sec", "flits_per_us", "fct_p50_us", "fct_p99_us")),
 }
+
+
+# Timed medians with quartiles: (bench, label, path to the median; the
+# quartiles sit beside it under the same name + "_q1" / "_q3").
+SPREAD_METRICS = (
+    ("sim_core_throughput", "64-host sweep (serial)", ("wall_ms_serial",)),
+    ("sim_core_throughput", "1024-host broadcast", ("bcast1024_wall_ms",)),
+    ("scale", "gate: 64-host sweep", ("gate", "sweep", "actual_wall_ms")),
+    ("scale", "gate: 1024-host broadcast",
+     ("gate", "bcast1024", "actual_wall_ms")),
+)
+
+
+def lookup(doc, path):
+    """Follows `path` into nested dicts; None when any step is missing."""
+    for key in path:
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key)
+    return doc if isinstance(doc, (int, float)) else None
+
+
+def spread_rows(cur_benches, prev_benches, speed_ratio):
+    """(bench, label, prev, cur, delta %, spread %) per timed median."""
+    rows = []
+    for bench, label, path in SPREAD_METRICS:
+        cur_doc = cur_benches.get(bench)
+        prev_doc = prev_benches.get(bench)
+        if cur_doc is None or prev_doc is None:
+            continue
+        parent, name = path[:-1], path[-1]
+        values = []
+        for doc, scale in ((prev_doc, 1.0 / speed_ratio), (cur_doc, 1.0)):
+            trio = [lookup(doc, parent + (name + suffix,))
+                    for suffix in ("", "_q1", "_q3")]
+            values.append(None if None in trio else [v * scale for v in trio])
+        prev, cur = values
+        if prev is None or cur is None or prev[0] == 0:
+            continue
+        spread = max(prev[2] - prev[1], cur[2] - cur[1])
+        rows.append((bench, label, prev[0], cur[0],
+                     100.0 * (cur[0] - prev[0]) / prev[0],
+                     100.0 * spread / prev[0]))
+    return rows
 
 
 def load_benches(directory):
@@ -124,6 +174,17 @@ def main():
     else:
         print("_No machine probe on one side: wall-clock deltas are raw "
               "(may reflect runner speed, not code)._\n")
+
+    medians = spread_rows(cur_benches, prev_benches, speed_ratio)
+    if medians:
+        print("| bench | timed median | previous ms | current ms | delta | "
+              "spread | verdict |")
+        print("|---|---|---:|---:|---:|---:|---|")
+        for bench, label, prev, cur, pct, spread in medians:
+            verdict = "beyond spread ⚠" if abs(pct) > spread else "noise"
+            print(f"| {bench} | {label} | {prev:.2f} | {cur:.2f} | "
+                  f"{pct:+.1f}% | ±{spread:.1f}% | {verdict} |")
+        print()
 
     if not rows:
         print("_No overlapping points between the two runs._")

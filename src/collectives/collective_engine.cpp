@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "mcast/fabric.hpp"
 #include "mcast/tree_repair.hpp"
 #include "netif/buffer_tracker.hpp"
 #include "netif/host.hpp"
@@ -68,8 +69,10 @@ constexpr std::int32_t kDownPhase = -3;
 /// instance). Mirrors the structure of netif::NetworkInterface
 /// (coprocessor SerialServer, t_rcv receive processing in the
 /// low-priority lane, t_snd per injected copy) but speaks the collective
-/// protocols instead of plain multicast forwarding.
-class CollectiveNi : public net::DeliverySink {
+/// protocols instead of plain multicast forwarding. Receive processing
+/// and sends are typed coprocessor jobs (kReceive, kInject) dispatched
+/// by run_job; a reduce fold is a continuation.
+class CollectiveNi final : public net::DeliverySink, private netif::JobRunner {
  public:
   CollectiveNi(sim::Simulator& simctx, net::WormholeNetwork& network,
                const CollectiveEngine::Config& cfg, CollectiveKind kind,
@@ -85,8 +88,9 @@ class CollectiveNi : public net::DeliverySink {
         children_{std::move(children)},
         m_{m},
         trace_{trace},
-        coproc_{simctx, cfg.params.ni_engines},
-        buffer_{simctx} {
+        coproc_{simctx, cfg.params.ni_engines, this},
+        buffer_{simctx},
+        child_folded_(children_.size(), 0) {
     network.bind_sink(self, this);
   }
 
@@ -114,11 +118,8 @@ class CollectiveNi : public net::DeliverySink {
   /// scratch.
   [[nodiscard]] std::vector<topo::HostId> fully_folded_children() const {
     std::vector<topo::HostId> out;
-    for (topo::HostId c : children_) {
-      if (auto it = child_folded_.find(c);
-          it != child_folded_.end() && it->second == m_) {
-        out.push_back(c);
-      }
+    for (std::size_t i = 0; i < children_.size(); ++i) {
+      if (child_folded_[i] == m_) out.push_back(children_[i]);
     }
     return out;
   }
@@ -166,29 +167,40 @@ class CollectiveNi : public net::DeliverySink {
 
   void deliver(const net::Packet& packet) {
     buffer_.acquire();
-    coproc_.enqueue_low(cfg_.params.t_rcv, [this, packet] {
-      handle(packet);
-    });
+    netif::Job job;
+    job.duration = cfg_.params.t_rcv;
+    job.kind = netif::JobKind::kReceive;
+    job.packet = packet;
+    coproc_.enqueue_low(job);
   }
 
  private:
+  void run_job(const netif::Job& job) override {
+    if (job.kind == netif::JobKind::kReceive) {
+      handle(job.packet);
+      return;
+    }
+    const net::Packet& p = job.packet;  // kInject
+    network_.send(p);
+    if (trace_) {
+      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
+                     "coll send pkt=" + std::to_string(p.packet_index) +
+                         " tag=" + std::to_string(p.tag) + " -> host " +
+                         std::to_string(p.dest));
+    }
+  }
+
   void send(topo::HostId to, std::int32_t index, std::int32_t tag) {
-    coproc_.enqueue(cfg_.params.t_snd, [this, to, index, tag] {
-      net::Packet p;
-      p.message = kMessage;
-      p.packet_index = index;
-      p.packet_count = m_;
-      p.sender = self_;
-      p.dest = to;
-      p.tag = tag;
-      network_.send(p);
-      if (trace_) {
-        trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                       "coll send pkt=" + std::to_string(index) + " tag=" +
-                           std::to_string(tag) + " -> host " +
-                           std::to_string(to));
-      }
-    });
+    netif::Job job;
+    job.duration = cfg_.params.t_snd;
+    job.kind = netif::JobKind::kInject;
+    job.packet.message = kMessage;
+    job.packet.packet_index = index;
+    job.packet.packet_count = m_;
+    job.packet.sender = self_;
+    job.packet.dest = to;
+    job.packet.tag = tag;
+    coproc_.enqueue(job);
   }
 
   void complete() {
@@ -220,8 +232,11 @@ class CollectiveNi : public net::DeliverySink {
           // Root: per-source accounting (a faulty fabric may gather some
           // sources whole and lose others); done once every descendant's
           // full message is in.
-          auto& got = source_received_[packet.tag];
-          if (++got == m_ && on_source_complete) {
+          const auto src = static_cast<std::size_t>(packet.tag);
+          if (src >= source_received_.size()) {
+            source_received_.resize(src + 1, 0);
+          }
+          if (++source_received_[src] == m_ && on_source_complete) {
             on_source_complete(static_cast<topo::HostId>(packet.tag));
           }
           if (++own_received_ == subtree_below * m_) complete();
@@ -250,9 +265,13 @@ class CollectiveNi : public net::DeliverySink {
   /// is folded, index j is ready to move up (or, at the root, is final).
   void handle_up(topo::HostId from, std::int32_t index) {
     coproc_.enqueue(cfg_.t_comb, [this, from, index] {
-      ++child_folded_[from];
-      auto& folded = folded_[index];
-      ++folded;
+      // A stale packet of an earlier round may come from a non-child.
+      const auto child = std::find(children_.begin(), children_.end(), from);
+      if (child != children_.end()) {
+        ++child_folded_[static_cast<std::size_t>(child - children_.begin())];
+      }
+      if (folded_.empty()) folded_.assign(static_cast<std::size_t>(m_), 0);
+      const std::int32_t folded = ++folded_[static_cast<std::size_t>(index)];
       if (folded < static_cast<std::int32_t>(children_.size())) return;
       if (parent_ != topo::kInvalidId) {
         send(parent_, index, kUpPhase);
@@ -280,9 +299,12 @@ class CollectiveNi : public net::DeliverySink {
   netif::BufferTracker buffer_;
 
   std::int32_t own_received_ = 0;
-  std::unordered_map<std::int32_t, std::int32_t> folded_;
-  std::unordered_map<topo::HostId, std::int32_t> child_folded_;
-  std::unordered_map<std::int32_t, std::int32_t> source_received_;
+  /// Reduce: per packet index, children folded; per child (in
+  /// children_ order), packets folded. Gather root: per source host,
+  /// packets received.
+  std::vector<std::int32_t> folded_;
+  std::vector<std::int32_t> child_folded_;
+  std::vector<std::int32_t> source_received_;
   std::int32_t reduced_indexes_ = 0;
   bool done_ = false;
 };
@@ -354,7 +376,7 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
   // round's root firmware and its per-child subtree membership, which is
   // what the salvage computation reads.
   std::vector<std::unique_ptr<CollectiveNi>> arena;
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
+  mcast::PerHost<netif::Host> hosts{topology_.num_hosts()};
   std::unordered_set<topo::HostId> completed;
   std::unordered_map<topo::HostId, sim::Time> gathered;
   bool root_done = false;
@@ -395,19 +417,24 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
       }
     }
 
-    std::unordered_map<topo::HostId, CollectiveNi*> nis;
+    // This round's firmware, host-indexed (the arena owns it).
+    std::vector<CollectiveNi*> round_nis(
+        static_cast<std::size_t>(topology_.num_hosts()), nullptr);
+    const auto nis = [&round_nis](topo::HostId h) -> CollectiveNi& {
+      return *round_nis[static_cast<std::size_t>(h)];
+    };
     for (topo::HostId h : t.nodes) {
       arena.push_back(std::make_unique<CollectiveNi>(
           simctx, network, config_, kind2, h, parent.at(h), t.children.at(h),
           m, trace_));
-      nis.emplace(h, arena.back().get());
-      if (hosts.find(h) == hosts.end()) {
+      round_nis[static_cast<std::size_t>(h)] = arena.back().get();
+      if (!hosts.contains(h)) {
         hosts.emplace(h,
                       std::make_unique<netif::Host>(simctx, h, config_.params));
       }
     }
     for (topo::HostId h : t.nodes) {
-      auto& ni = *nis.at(h);
+      auto& ni = nis(h);
       ni.subtree_below = static_cast<std::int32_t>(subtree.at(h).size()) - 1;
       for (topo::HostId c : t.children.at(h)) {
         for (topo::HostId d : subtree.at(c)) ni.next_hop.emplace(d, c);
@@ -419,14 +446,14 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
     const topo::HostId round_root = t.root;
     if (up_kind) {
       up_nodes = t.nodes;
-      root_ni = nis.at(round_root);
+      root_ni = &nis(round_root);
       root_subtrees.clear();
       for (topo::HostId c : t.children.at(round_root)) {
         root_subtrees.emplace(c, subtree.at(c));
       }
     }
     for (topo::HostId h : t.nodes) {
-      auto& ni = *nis.at(h);
+      auto& ni = nis(h);
       ni.on_complete = [&, h, up_kind, round_root](topo::HostId) {
         if (up_kind && h == round_root && !root_done) {
           root_done = true;
@@ -442,7 +469,7 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
         }
         // A host keeps one semantic completion across repair rounds.
         if (!completed.insert(h).second) return;
-        hosts.at(h)->software_receive(
+        hosts[h].software_receive(
             [&, h] { result.completions.emplace_back(h, simctx.now()); });
       };
       if (kind2 == CollectiveKind::kGather && h == round_root) {
@@ -454,8 +481,8 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
 
     // Start-up: who pays t_s before their NI acts.
     const auto start_host = [&nis, &hosts](topo::HostId h) {
-      CollectiveNi* ni = nis.at(h);
-      hosts.at(h)->software_send([ni] { ni->start(); });
+      CollectiveNi* ni = &nis(h);
+      hosts[h].software_send([ni] { ni->start(); });
     };
     const auto start_all = [&] {
       switch (kind2) {
@@ -498,8 +525,8 @@ CollectiveResult CollectiveEngine::run(CollectiveKind kind,
           break;
       }
       for (topo::HostId h : starters) {
-        CollectiveNi* ni = nis.at(h);
-        netif::Host* host = hosts.at(h).get();
+        CollectiveNi* ni = &nis(h);
+        netif::Host* host = &hosts[h];
         simctx.schedule_at(
             start, [ni, host] { host->software_send([ni] { ni->start(); }); });
       }

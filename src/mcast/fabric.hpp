@@ -1,8 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "network/network_config.hpp"
@@ -14,6 +16,39 @@
 #include "topology/topology.hpp"
 
 namespace nimcast::mcast {
+
+/// A run's per-host objects (NIs, hosts), indexed by host id: a flat
+/// array of owners, null for hosts that take no part.
+template <typename T>
+class PerHost {
+ public:
+  explicit PerHost(std::int32_t num_hosts)
+      : items_(static_cast<std::size_t>(num_hosts)) {}
+
+  void emplace(topo::HostId h, std::unique_ptr<T> item) {
+    items_[index(h)] = std::move(item);
+  }
+  [[nodiscard]] bool contains(topo::HostId h) const {
+    return items_[index(h)] != nullptr;
+  }
+  /// The object of host `h`, which must take part.
+  [[nodiscard]] T& operator[](topo::HostId h) const {
+    return *items_[index(h)];
+  }
+  /// Calls `f(host, object)` for every present host, in host order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t h = 0; h < items_.size(); ++h) {
+      if (items_[h]) f(static_cast<topo::HostId>(h), *items_[h]);
+    }
+  }
+
+ private:
+  static std::size_t index(topo::HostId h) {
+    return static_cast<std::size_t>(h);
+  }
+  std::vector<std::unique_ptr<T>> items_;
+};
 
 /// One simulation fabric: the serial-or-sharded simulator plus the
 /// WormholeNetwork bound to it. Extracted from MulticastEngine::run_many

@@ -250,9 +250,8 @@ MultiMulticastResult MulticastEngine::run_many(
         reliability.t_ack);
   }
 
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::NetworkInterface>>
-      nis;
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
+  PerHost<netif::NetworkInterface> nis{topology_.num_hosts()};
+  PerHost<netif::Host> hosts{topology_.num_hosts()};
   for (topo::HostId h : participants) {
     sim::Simulator& hsim = sim_for_host(h);
     switch (config_.style) {
@@ -286,7 +285,7 @@ MultiMulticastResult MulticastEngine::run_many(
       entry.children = spec.tree.children.at(h);
       entry.packet_count = spec.packet_count;
       entry.is_destination = (h != spec.tree.root);
-      nis.at(h)->install(message, entry);
+      nis[h].install(message, entry);
     }
   }
 
@@ -322,8 +321,8 @@ MultiMulticastResult MulticastEngine::run_many(
     logs.push_back(std::make_unique<CompletionLog>());
   }
 
-  for (auto& [h, ni] : nis) {
-    ni->on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
+  for (topo::HostId h : participants) {
+    nis[h].on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
       const auto op = msg_op[static_cast<std::size_t>(msg - 1)];
       auto& seen = arrived[op][static_cast<std::size_t>(dest)];
       if (seen != 0) return;
@@ -332,10 +331,10 @@ MultiMulticastResult MulticastEngine::run_many(
       CompletionLog& log = *logs[static_cast<std::size_t>(
           sharded_mode ? network.shard_of_host(dest) : 0)];
       log.ni_done.emplace_back(op, dest, hsim.now());
-      auto& host = *hosts.at(dest);
+      auto& host = hosts[dest];
       host.software_receive([&, logp = &log, dest, msg, op] {
         logp->host_done.emplace_back(op, dest, sim_for_host(dest).now());
-        nis.at(dest)->after_host_receive(msg, *hosts.at(dest));
+        nis[dest].after_host_receive(msg, hosts[dest]);
       });
     };
   }
@@ -345,8 +344,8 @@ MultiMulticastResult MulticastEngine::run_many(
     const topo::HostId root = specs[op].tree.root;
     sim_for_host(root).schedule_at(specs[op].start,
                                    [&nis, &hosts, root, message] {
-                                     nis.at(root)->start_from_host(
-                                         message, *hosts.at(root));
+                                     nis[root].start_from_host(
+                                         message, hosts[root]);
                                    });
   }
   run_sim();
@@ -422,15 +421,15 @@ MultiMulticastResult MulticastEngine::run_many(
           entry.children = rtree->children.at(h);
           entry.packet_count = spec.packet_count;
           entry.is_destination = (h != root);
-          nis.at(h)->install(message, entry);
+          nis[h].install(message, entry);
         }
         ++batch.operations[op].repairs;
         const sim::Time wait =
             config_.repair.backoff * (sim::Time::rep{1} << (round - 1));
         sim_for_host(root).schedule_at(end_time() + wait,
                                        [&nis, &hosts, root, message] {
-                                         nis.at(root)->start_from_host(
-                                             message, *hosts.at(root));
+                                         nis[root].start_from_host(
+                                             message, hosts[root]);
                                        });
         scheduled_any = true;
       }
@@ -507,7 +506,7 @@ MultiMulticastResult MulticastEngine::run_many(
         spec.packet_count;
   }
   for (topo::HostId h : participants) {
-    const auto& buf = nis.at(h)->buffer();
+    const auto& buf = nis[h].buffer();
     batch.buffers.push_back(BufferStat{h, buf.peak(), buf.integral()});
   }
   batch.total_channel_block_time = network.total_block_time();
@@ -521,11 +520,11 @@ MultiMulticastResult MulticastEngine::run_many(
     record_switch_load(network.switch_load());
   }
   if (config_.style == NiStyle::kReliableFpfs) {
-    for (const auto& [h, ni] : nis) {
-      const auto* rni = static_cast<const netif::ReliableFpfsNi*>(ni.get());
-      batch.retransmissions += rni->retransmissions();
-      batch.deliveries_failed += rni->deliveries_failed();
-    }
+    nis.for_each([&](topo::HostId, const netif::NetworkInterface& ni) {
+      const auto& rni = static_cast<const netif::ReliableFpfsNi&>(ni);
+      batch.retransmissions += rni.retransmissions();
+      batch.deliveries_failed += rni.deliveries_failed();
+    });
   }
   return batch;
 }
@@ -652,9 +651,8 @@ StreamingResult MulticastEngine::run_streaming(
     };
   }
 
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::NetworkInterface>>
-      nis;
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
+  PerHost<netif::NetworkInterface> nis{topology_.num_hosts()};
+  PerHost<netif::Host> hosts{topology_.num_hosts()};
   for (topo::HostId h : base.nodes) {
     sim::Simulator& hsim = sim_for_host(h);
     nis.emplace(h, std::make_unique<netif::FpfsNi>(hsim, network,
@@ -687,7 +685,7 @@ StreamingResult MulticastEngine::run_streaming(
       entry.packet_count = count;
       entry.is_destination = (h != root);
       entry.route_class = r;
-      nis.at(h)->install(message, entry);
+      nis[h].install(message, entry);
     }
   }
 
@@ -717,11 +715,11 @@ StreamingResult MulticastEngine::run_streaming(
     at_src.children = {flow.dst};
     at_src.packet_count = flow.packets;
     at_src.is_destination = false;
-    nis.at(flow.src)->install(message, at_src);
+    nis[flow.src].install(message, at_src);
     netif::ForwardingEntry at_dst;
     at_dst.packet_count = flow.packets;
     at_dst.is_destination = false;
-    nis.at(flow.dst)->install(message, at_dst);
+    nis[flow.dst].install(message, at_dst);
     msg_stream.push_back(MsgMap{1, 0, {}, true});
   }
 
@@ -749,8 +747,8 @@ StreamingResult MulticastEngine::run_streaming(
     logs.push_back(std::make_unique<StreamLog>());
   }
 
-  for (auto& [h, ni] : nis) {
-    ni->on_packet_at_ni = [&](topo::HostId dest, const net::Packet& p) {
+  nis.for_each([&](topo::HostId, netif::NetworkInterface& ni) {
+    ni.on_packet_at_ni = [&](topo::HostId dest, const net::Packet& p) {
       const MsgMap& mm = msg_stream[static_cast<std::size_t>(p.message - 1)];
       if (mm.background || dest == root) return;
       const std::int32_t g =
@@ -765,12 +763,12 @@ StreamingResult MulticastEngine::run_streaming(
           sharded_mode ? network.shard_of_host(dest) : 0)];
       log.packets.emplace_back(dest, g, sim_for_host(dest).now());
       if (++seen_count[static_cast<std::size_t>(dest)] == S) {
-        hosts.at(dest)->software_receive([&, logp = &log, dest] {
+        hosts[dest].software_receive([&, logp = &log, dest] {
           logp->host_done.emplace_back(dest, sim_for_host(dest).now());
         });
       }
     };
-  }
+  });
 
   // Adaptive selector state. All scores are integer nanoseconds; member
   // r's snapshot score snap[r] is the block-time delta over its channel
@@ -889,7 +887,7 @@ StreamingResult MulticastEngine::run_streaming(
       }
       std::int64_t backlog = 0;
       for (topo::HostId h : sel.senders[static_cast<std::size_t>(r)]) {
-        backlog += nis.at(h)->injection_queue_depth() * t_snd_ns;
+        backlog += nis[h].injection_queue_depth() * t_snd_ns;
       }
       sel.queue_ns[static_cast<std::size_t>(r)] = backlog;
       s += backlog;
@@ -980,15 +978,15 @@ StreamingResult MulticastEngine::run_streaming(
     sim_for_host(root).schedule_at(
         sim::Time::zero(),
         [&nis, &hosts, &select_member, stream_messages, root, S] {
-          static_cast<netif::FpfsNi&>(*nis.at(root))
-              .start_streaming_adaptive(stream_messages, S, *hosts.at(root),
+          static_cast<netif::FpfsNi&>(nis[root])
+              .start_streaming_adaptive(stream_messages, S, hosts[root],
                                         select_member);
         });
   } else {
     sim_for_host(root).schedule_at(
         sim::Time::zero(), [&nis, &hosts, stream_messages, root] {
-          static_cast<netif::FpfsNi&>(*nis.at(root))
-              .start_streaming(stream_messages, *hosts.at(root));
+          static_cast<netif::FpfsNi&>(nis[root])
+              .start_streaming(stream_messages, hosts[root]);
         });
   }
   for (std::int32_t f = 0; f < F; ++f) {
@@ -996,7 +994,7 @@ StreamingResult MulticastEngine::run_streaming(
     const auto message = static_cast<net::MessageId>(R + 1 + f);
     sim_for_host(flow.src).schedule_at(
         flow.start, [&nis, &hosts, src = flow.src, message] {
-          nis.at(src)->start_from_host(message, *hosts.at(src));
+          nis[src].start_from_host(message, hosts[src]);
         });
   }
   run_sim();
@@ -1071,14 +1069,13 @@ StreamingResult MulticastEngine::run_streaming(
           entry.packet_count = count;
           entry.is_destination = (h != initiator);
           entry.route_class = 0;
-          nis.at(h)->install(message, entry);
+          nis[h].install(message, entry);
         }
         result.packets_resent += count;
         msg_stream.push_back(MsgMap{1, 0, std::move(share)});
         sim_for_host(initiator)
             .schedule_at(start_at, [&nis, &hosts, initiator, message] {
-              nis.at(initiator)->start_from_host(message,
-                                                 *hosts.at(initiator));
+              nis[initiator].start_from_host(message, hosts[initiator]);
             });
         return true;
       };

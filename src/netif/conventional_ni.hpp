@@ -22,11 +22,7 @@ class ConventionalNi final : public NetworkInterface {
 
  protected:
   void on_packet_received(const net::Packet& packet,
-                          const ForwardingEntry& entry) override;
-
- private:
-  void forward_to_children(net::MessageId message, Host& host,
-                           const ForwardingEntry& entry);
+                          MessageState& state) override;
 };
 
 }  // namespace nimcast::netif

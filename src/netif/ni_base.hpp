@@ -2,7 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <string>
+#include <vector>
 
 #include "netif/buffer_tracker.hpp"
 #include "netif/forwarding.hpp"
@@ -23,11 +24,17 @@ namespace nimcast::netif {
 /// what the coprocessor firmware does with a received multicast packet and
 /// how the source side schedules the initial copies.
 ///
+/// Coprocessor work is typed: receive-process, buffer-accounted send and
+/// plain inject jobs carry a packet header and run through one switch
+/// (run_job); anything else is a parked continuation. Per-message state
+/// is flat: a 4-byte message -> slot index, grown to the largest message
+/// id installed *here*, and one dense MessageState per installed entry.
+///
 /// The engine wires `on_message_at_ni` to fire when this NI has received
 /// (and finished receive-processing of) every packet of a message for
 /// which it is a destination; host-level completion (the +t_r) is layered
 /// on top by the engine through the Host object.
-class NetworkInterface : public net::DeliverySink {
+class NetworkInterface : public net::DeliverySink, private JobRunner {
  public:
   /// Binds itself as `self`'s delivery sink on `network` — packets
   /// addressed to `self` arrive through deliver() with no per-packet
@@ -40,8 +47,9 @@ class NetworkInterface : public net::DeliverySink {
   NetworkInterface(const NetworkInterface&) = delete;
   NetworkInterface& operator=(const NetworkInterface&) = delete;
 
-  /// Installs multicast forwarding state for `message`. Must be called on
-  /// every participant's NI before the source begins.
+  /// Installs multicast forwarding state for `message` (>= 0). Must be
+  /// called on every participant's NI before the source begins, and not
+  /// again for a message while any of its packets is held.
   void install(net::MessageId message, ForwardingEntry entry);
 
   /// Source-side entry point: begins the multicast at this node, charging
@@ -82,63 +90,106 @@ class NetworkInterface : public net::DeliverySink {
   [[nodiscard]] topo::HostId id() const { return self_; }
   [[nodiscard]] const BufferTracker& buffer() const { return buffer_; }
   [[nodiscard]] const SerialServer& coprocessor() const { return coproc_; }
-  /// Coprocessor backlog: tasks queued plus tasks in service. The
+  /// Coprocessor backlog: jobs queued plus jobs in service. The
   /// adaptive streaming selector samples this at telemetry snapshots as
   /// the NI-side congestion signal.
   [[nodiscard]] std::int64_t injection_queue_depth() const {
     return static_cast<std::int64_t>(coproc_.queued()) + coproc_.active();
   }
+  /// Bytes of the message index and slot array: grows with the messages
+  /// installed here, never with hosts or with other NIs' messages.
+  [[nodiscard]] std::size_t state_bytes() const {
+    return slot_of_.capacity() * sizeof(std::int32_t) +
+           slots_.capacity() * sizeof(MessageState);
+  }
   [[nodiscard]] const SystemParams& params() const { return params_; }
   [[nodiscard]] virtual const char* style() const = 0;
 
  protected:
+  /// Reliable NI: one (packet, child) edge's retransmission state.
+  struct PendingSend {
+    sim::EventId timer;
+    std::int32_t attempts = 0;
+    bool live = false;
+  };
+
+  /// Everything this NI knows about one installed message.
+  struct MessageState {
+    ForwardingEntry entry;
+    std::int32_t received = 0;  ///< distinct data packets processed
+    /// Per packet: copies still to go out, kNotHeld when not resident.
+    /// Sized at install for nodes with children (leaves never hold).
+    std::vector<std::int32_t> copies;
+    /// Reliable NI, sized on first use: per packet, seen; per (packet,
+    /// child position), the edge's pending send.
+    std::vector<std::uint8_t> seen;
+    std::vector<PendingSend> pending;
+  };
+  static constexpr std::int32_t kNotHeld = -1;
+
   /// Discipline hook: a multicast packet finished receive processing.
   /// Forward copies as the discipline dictates (leaves do nothing).
+  /// `state.received` does not count `packet` yet.
   virtual void on_packet_received(const net::Packet& packet,
-                                  const ForwardingEntry& entry) = 0;
+                                  MessageState& state) = 0;
 
-  /// Queues one copy of packet `index` on the coprocessor (t_snd), then
-  /// injects it into the network under `route_class`. No buffer
-  /// accounting.
-  void inject_copy(net::MessageId message, std::int32_t index,
-                   std::int32_t packet_count, topo::HostId child,
-                   std::int32_t route_class = 0);
+  /// Protocol hook before a receive-processed data packet counts: false
+  /// swallows it (the reliable NI drops duplicates here).
+  virtual bool accept_data(const net::Packet& packet, MessageState& state);
 
-  /// Buffer-accounted variant: decrements the packet's outstanding-copy
-  /// count when the injection completes, releasing the buffer slot at
-  /// zero. The packet must be held (see hold_packet).
+  /// A job of `kind` injecting one copy of packet `index` to `child`
+  /// under `route_class`, costing t_snd.
+  [[nodiscard]] Job copy_job(JobKind kind, net::MessageId message,
+                             std::int32_t index, std::int32_t packet_count,
+                             topo::HostId child,
+                             std::int32_t route_class = 0) const;
+
+  /// Queues one buffer-accounted copy (kSend): its injection releases one
+  /// of the held packet's copies, freeing the buffer slot at zero, then
+  /// runs the continuation parked at `then` (see SerialServer::park), if
+  /// any. The adaptive streaming source hangs the *next* packet's member
+  /// selection off its last copy this way — the continuation enqueues
+  /// before the coprocessor picks its next job, so the issue stream's
+  /// timing is byte-identical to enqueueing everything upfront.
   void send_copy(net::MessageId message, std::int32_t index,
                  std::int32_t packet_count, topo::HostId child,
-                 std::int32_t route_class = 0);
-
-  /// send_copy with a continuation: `then` runs inside the same
-  /// coprocessor completion action, after the injection and buffer
-  /// release. The adaptive streaming source hangs the *next* packet's
-  /// member selection off its last copy this way — the continuation
-  /// enqueues before the coprocessor picks its next task, so the issue
-  /// stream's timing is byte-identical to enqueueing everything upfront.
-  void send_copy_then(net::MessageId message, std::int32_t index,
-                      std::int32_t packet_count, topo::HostId child,
-                      std::int32_t route_class, std::function<void()> then);
+                 std::int32_t route_class = 0, std::int32_t then = -1) {
+    Job job = copy_job(JobKind::kSend, message, index, packet_count, child,
+                       route_class);
+    job.slot = then;
+    coproc_.enqueue(job);
+  }
 
   /// Declares that packet `index` is resident in NI memory and will be
   /// copied out `copies` times. Acquires a buffer slot (released
   /// immediately when copies == 0).
-  void hold_packet(net::MessageId message, std::int32_t index,
+  void hold_packet(MessageState& state, std::int32_t index,
                    std::int32_t copies);
+  /// hold_packet for every packet, one copy per child.
+  void hold_all(MessageState& state);
 
   /// Decrements a held packet's outstanding-copy count without sending
   /// (the reliable NI releases on acknowledgment, not on injection).
-  void release_copy(net::MessageId message, std::int32_t index);
+  void release_copy(MessageState& state, std::int32_t index);
 
-  /// Counts one successfully receive-processed *distinct* data packet and
-  /// fires on_message_at_ni when the message completes. deliver() calls
-  /// this; subclasses that override deliver() must call it themselves for
-  /// each distinct packet.
-  void note_data_processed(const net::Packet& packet,
-                           const ForwardingEntry& entry);
+  /// Slot of an installed message, or -1.
+  [[nodiscard]] std::int32_t find_slot(net::MessageId message) const {
+    const auto m = static_cast<std::size_t>(message);
+    return message >= 0 && m < slot_of_.size() ? slot_of_[m] : -1;
+  }
+  /// A slot's state; references stay valid until the next install().
+  [[nodiscard]] MessageState& slot(std::int32_t s) {
+    return slots_[static_cast<std::size_t>(s)];
+  }
+  /// State of an installed message; throws std::logic_error naming `who`
+  /// when `message` is not installed here.
+  [[nodiscard]] MessageState& state_of(net::MessageId message, const char* who);
 
-  [[nodiscard]] const ForwardingEntry* find_entry(net::MessageId m) const;
+  /// Records an NI trace line (callers test `trace_` first, so the
+  /// string is only built when tracing).
+  void note(const std::string& what) {
+    trace_->record(sim_.now(), sim::TraceCategory::kNi, self_, what);
+  }
 
   sim::Simulator& sim_;
   net::WormholeNetwork& network_;
@@ -149,15 +200,12 @@ class NetworkInterface : public net::DeliverySink {
   BufferTracker buffer_;
 
  private:
-  void release_if_done(std::uint64_t key);
-  static std::uint64_t packet_key(net::MessageId m, std::int32_t index) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(m)) << 32) |
-           static_cast<std::uint32_t>(index);
-  }
+  /// The coprocessor's dispatch switch.
+  void run_job(const Job& job) final;
+  void receive(const net::Packet& packet);
 
-  std::unordered_map<net::MessageId, ForwardingEntry> entries_;
-  std::unordered_map<net::MessageId, std::int32_t> received_count_;
-  std::unordered_map<std::uint64_t, std::int32_t> outstanding_;
+  std::vector<std::int32_t> slot_of_;  // message id -> slot, or -1
+  std::vector<MessageState> slots_;
 };
 
 }  // namespace nimcast::netif

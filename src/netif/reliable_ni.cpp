@@ -52,21 +52,41 @@ sim::Time ReliableFpfsNi::backoff_timeout(std::int32_t attempts) {
 
 void ReliableFpfsNi::start_from_host(net::MessageId message, Host& host) {
   host.software_send([this, message] {
-    const ForwardingEntry* entry = find_entry(message);
-    if (entry == nullptr) {
-      throw std::logic_error("ReliableFpfsNi: no forwarding entry at source");
-    }
-    const auto copies = static_cast<std::int32_t>(entry->children.size());
-    for (std::int32_t j = 0; j < entry->packet_count; ++j) {
-      hold_packet(message, j, copies);
-    }
-    for (std::int32_t j = 0; j < entry->packet_count; ++j) {
-      for (topo::HostId child : entry->children) {
-        pending_.emplace(edge_key(message, j, child), PendingSend{});
-        reliable_send(message, j, entry->packet_count, child);
-      }
+    MessageState& state = state_of(message, "ReliableFpfsNi");
+    const ForwardingEntry& entry = state.entry;
+    hold_all(state);
+    for (std::int32_t j = 0; j < entry.packet_count; ++j) {
+      send_to_children(state, message, j);
     }
   });
+}
+
+void ReliableFpfsNi::send_to_children(MessageState& state,
+                                      net::MessageId message,
+                                      std::int32_t index) {
+  const auto& kids = state.entry.children;
+  const auto count = state.entry.packet_count;
+  if (state.pending.empty()) {
+    state.pending.resize(static_cast<std::size_t>(count) * kids.size());
+  }
+  for (std::size_t c = 0; c < kids.size(); ++c) {
+    state.pending[static_cast<std::size_t>(index) * kids.size() + c] =
+        PendingSend{{}, 0, true};
+    reliable_send(message, index, count, kids[c]);
+  }
+}
+
+ReliableFpfsNi::PendingSend* ReliableFpfsNi::live_edge(MessageState& state,
+                                                       std::int32_t index,
+                                                       topo::HostId child) {
+  if (state.pending.empty()) return nullptr;
+  const auto& kids = state.entry.children;
+  const auto pos = std::find(kids.begin(), kids.end(), child);
+  if (pos == kids.end()) return nullptr;
+  PendingSend& edge =
+      state.pending[static_cast<std::size_t>(index) * kids.size() +
+                    static_cast<std::size_t>(pos - kids.begin())];
+  return edge.live ? &edge : nullptr;
 }
 
 void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
@@ -74,32 +94,26 @@ void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
                                    topo::HostId child) {
   coproc_.enqueue(params_.t_snd, [this, message, index, packet_count, child] {
     // The ACK may have arrived while this (re)transmission sat in the
-    // coprocessor queue; if so the pending entry is gone and sending a
-    // copy now would only waste wire time (and double-release buffers).
-    if (!pending_.contains(edge_key(message, index, child))) return;
-    auto& pending = pending_[edge_key(message, index, child)];
-    net::Packet p;
-    p.message = message;
-    p.packet_index = index;
-    p.packet_count = packet_count;
-    p.sender = self_;
-    p.dest = child;
+    // coprocessor queue; if so the edge is closed and sending a copy now
+    // would only waste wire time (and double-release buffers).
+    PendingSend* pending = live_edge(state_of(message, "ReliableFpfsNi"),
+                                     index, child);
+    if (pending == nullptr) return;
     // The attempt number is part of the packet's loss-hash identity:
     // each retransmitted copy gets an independent drop draw.
-    p.attempt = pending.attempts;
-    network_.send(p);
+    network_.send(net::Packet{.message = message, .packet_index = index,
+                              .packet_count = packet_count, .sender = self_,
+                              .dest = child, .attempt = pending->attempts});
     // Arm (or re-arm) the retransmission timer as of injection time,
     // exponentially backed off by the attempts already burned.
-    pending.timer = sim_.schedule_in(
-        backoff_timeout(pending.attempts),
+    pending->timer = sim_.schedule_in(
+        backoff_timeout(pending->attempts),
         [this, message, index, packet_count, child] {
           on_timeout(message, index, packet_count, child);
         });
     if (trace_) {
-      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                     "rsent msg=" + std::to_string(message) + " pkt=" +
-                         std::to_string(index) + " -> host " +
-                         std::to_string(child));
+      note("rsent msg=" + std::to_string(message) + " pkt=" +
+           std::to_string(index) + " -> host " + std::to_string(child));
     }
   });
 }
@@ -107,66 +121,59 @@ void ReliableFpfsNi::reliable_send(net::MessageId message, std::int32_t index,
 void ReliableFpfsNi::on_timeout(net::MessageId message, std::int32_t index,
                                 std::int32_t packet_count,
                                 topo::HostId child) {
-  auto it = pending_.find(edge_key(message, index, child));
-  if (it == pending_.end()) return;  // ACKed in the meantime
-  auto& pending = it->second;
+  MessageState& state = state_of(message, "ReliableFpfsNi");
+  PendingSend* pending = live_edge(state, index, child);
+  if (pending == nullptr) return;  // ACKed in the meantime
   // A child cut off by a fault cannot ACK no matter how often we retry;
   // abandon the edge immediately instead of burning the budget.
   const bool unreachable = !network_.reachable(self_, child);
   if (!unreachable) {
-    ++pending.attempts;
+    ++pending->attempts;
     ++retx_count_;
   }
-  if (unreachable || pending.attempts > reliability_.max_retransmissions) {
-    pending_.erase(it);
+  if (unreachable || pending->attempts > reliability_.max_retransmissions) {
+    pending->live = false;
     ++gave_up_;
     // The edge's buffer obligation is met by abandonment: without this
     // the slot would leak and the NI would report held buffers forever.
-    release_copy(message, index);
+    release_copy(state, index);
     if (trace_) {
-      trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                     std::string("giveup") +
-                         (unreachable ? "-unreachable" : "-budget") +
-                         " msg=" + std::to_string(message) + " pkt=" +
-                         std::to_string(index) + " -> host " +
-                         std::to_string(child));
+      note(std::string("giveup") + (unreachable ? "-unreachable" : "-budget") +
+           " msg=" + std::to_string(message) + " pkt=" +
+           std::to_string(index) + " -> host " + std::to_string(child));
     }
     if (on_delivery_failure) on_delivery_failure(message, index, child);
     return;
   }
   if (trace_) {
-    trace_->record(sim_.now(), sim::TraceCategory::kNi, self_,
-                   "retx msg=" + std::to_string(message) + " pkt=" +
-                       std::to_string(index) + " -> host " +
-                       std::to_string(child));
+    note("retx msg=" + std::to_string(message) + " pkt=" +
+         std::to_string(index) + " -> host " + std::to_string(child));
   }
   reliable_send(message, index, packet_count, child);
 }
 
 void ReliableFpfsNi::send_ack(const net::Packet& data) {
-  coproc_.enqueue_front(reliability_.t_ack, [this, data] {
-    net::Packet ack;
-    ack.message = data.message;
-    ack.packet_index = data.packet_index;
-    ack.packet_count = data.packet_count;
-    ack.sender = self_;
-    ack.dest = data.sender;
-    ack.tag = kAckTag;
-    // Inherit the data copy's attempt number so the ACK for each
-    // (re)transmission is its own independent loss draw.
-    ack.attempt = data.attempt;
-    network_.send(ack);
-  });
+  // The ACK inherits the data copy's attempt number so the ACK for each
+  // (re)transmission is its own independent loss draw.
+  const net::Packet ack{.message = data.message,
+                        .packet_index = data.packet_index,
+                        .packet_count = data.packet_count, .sender = self_,
+                        .dest = data.sender, .tag = kAckTag,
+                        .attempt = data.attempt};
+  coproc_.enqueue_front(reliability_.t_ack,
+                        [this, ack] { network_.send(ack); });
 }
 
 void ReliableFpfsNi::handle_ack(const net::Packet& ack) {
-  const auto key = edge_key(ack.message, ack.packet_index, ack.sender);
-  auto it = pending_.find(key);
-  if (it == pending_.end()) return;  // duplicate ACK
-  sim_.cancel(it->second.timer);
-  pending_.erase(it);
+  const std::int32_t s = find_slot(ack.message);
+  if (s < 0) return;
+  MessageState& state = slot(s);
+  PendingSend* pending = live_edge(state, ack.packet_index, ack.sender);
+  if (pending == nullptr) return;  // duplicate ACK
+  sim_.cancel(pending->timer);
+  pending->live = false;
   // The child has the packet; this copy's buffer obligation is met.
-  release_copy(ack.message, ack.packet_index);
+  release_copy(state, ack.packet_index);
 }
 
 void ReliableFpfsNi::deliver(const net::Packet& packet) {
@@ -183,32 +190,27 @@ void ReliableFpfsNi::deliver(const net::Packet& packet) {
   // Acknowledge at arrival — the sender may be retransmitting because a
   // previous ACK was lost, and duplicates must be re-ACKed too.
   send_ack(packet);
-  coproc_.enqueue_low(params_.t_rcv, [this, packet] {
-    const ForwardingEntry* entry = find_entry(packet.message);
-    if (entry == nullptr) {
-      throw std::logic_error("ReliableFpfsNi: packet for unknown message");
-    }
-    const auto id = std::pair{packet.message, packet.packet_index};
-    if (!seen_.insert(id).second) {
-      ++dup_count_;
-      return;  // duplicate data: do not re-forward or re-count
-    }
-    on_packet_received(packet, *entry);
-    note_data_processed(packet, *entry);
-  });
+  NetworkInterface::deliver(packet);
+}
+
+bool ReliableFpfsNi::accept_data(const net::Packet& packet,
+                                 MessageState& state) {
+  if (state.seen.empty()) {
+    state.seen.resize(static_cast<std::size_t>(state.entry.packet_count));
+  }
+  auto& seen = state.seen[static_cast<std::size_t>(packet.packet_index)];
+  const bool fresh = seen == 0;  // a duplicate is not re-forwarded or counted
+  seen = 1;
+  if (!fresh) ++dup_count_;
+  return fresh;
 }
 
 void ReliableFpfsNi::on_packet_received(const net::Packet& packet,
-                                        const ForwardingEntry& entry) {
-  if (entry.children.empty()) return;
-  hold_packet(packet.message, packet.packet_index,
-              static_cast<std::int32_t>(entry.children.size()));
-  for (topo::HostId child : entry.children) {
-    pending_.emplace(edge_key(packet.message, packet.packet_index, child),
-                     PendingSend{});
-    reliable_send(packet.message, packet.packet_index, packet.packet_count,
-                  child);
-  }
+                                        MessageState& state) {
+  if (state.entry.children.empty()) return;
+  hold_packet(state, packet.packet_index,
+              static_cast<std::int32_t>(state.entry.children.size()));
+  send_to_children(state, packet.message, packet.packet_index);
 }
 
 }  // namespace nimcast::netif

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <set>
-#include <unordered_map>
 
 #include "netif/ni_base.hpp"
 #include "network/network_config.hpp"
@@ -98,22 +96,19 @@ class ReliableFpfsNi final : public NetworkInterface {
 
  protected:
   void on_packet_received(const net::Packet& packet,
-                          const ForwardingEntry& entry) override;
+                          MessageState& state) override;
+  /// Drops duplicate data (same message and index seen before).
+  bool accept_data(const net::Packet& packet, MessageState& state) override;
 
  private:
-  struct PendingSend {
-    sim::EventId timer;
-    std::int32_t attempts = 0;
-  };
-
-  static std::uint64_t edge_key(net::MessageId m, std::int32_t index,
-                                topo::HostId child) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint16_t>(m)) << 48) |
-           (static_cast<std::uint64_t>(static_cast<std::uint16_t>(index))
-            << 32) |
-           static_cast<std::uint32_t>(child);
-  }
-
+  /// Opens the edge to every child of held packet `index` and queues
+  /// its first transmission.
+  void send_to_children(MessageState& state, net::MessageId message,
+                        std::int32_t index);
+  /// The live pending edge (index -> child) of `state`, or nullptr.
+  [[nodiscard]] static PendingSend* live_edge(MessageState& state,
+                                              std::int32_t index,
+                                              topo::HostId child);
   /// Queues (or re-queues) one copy and arms the timer at injection.
   void reliable_send(net::MessageId message, std::int32_t index,
                      std::int32_t packet_count, topo::HostId child);
@@ -128,8 +123,6 @@ class ReliableFpfsNi final : public NetworkInterface {
   ReliabilityParams reliability_;
   sim::Time base_timeout_;
   sim::Rng backoff_rng_;
-  std::unordered_map<std::uint64_t, PendingSend> pending_;
-  std::set<std::pair<net::MessageId, std::int32_t>> seen_;
   std::int64_t retx_count_ = 0;
   std::int64_t dup_count_ = 0;
   std::int64_t gave_up_ = 0;

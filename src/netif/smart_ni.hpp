@@ -1,7 +1,7 @@
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <unordered_map>
 
 #include "netif/ni_base.hpp"
 
@@ -26,15 +26,15 @@ class FpfsNi final : public NetworkInterface {
   /// message g mod |messages|. This is what lets consecutive stream
   /// packets leave down *different* rotation trees; starting the
   /// messages via start_from_host would serialize them class by class
-  /// (each enqueues its whole message at once). With one message this
-  /// is exactly start_from_host.
+  /// (each enqueues its whole message at once). start_from_host is the
+  /// one-message case.
   void start_streaming(const std::vector<net::MessageId>& messages,
                        Host& host);
 
   /// Adaptive streaming source: stream packet g goes down class
   /// `select(g)`, decided when the coprocessor is about to issue it (the
   /// last copy of packet g-1 hangs packet g's selection off its own
-  /// completion via send_copy_then). Each class must be installed with
+  /// completion, parked on its send). Each class must be installed with
   /// `packet_count == stream_packets` — the global stream index is the
   /// packet index, so a class carries the sparse subset of indices the
   /// selector routes to it. With one coprocessor engine the issue
@@ -49,12 +49,12 @@ class FpfsNi final : public NetworkInterface {
 
  protected:
   void on_packet_received(const net::Packet& packet,
-                          const ForwardingEntry& entry) override;
+                          MessageState& state) override;
 
  private:
   struct AdaptiveStream {
     std::vector<net::MessageId> messages;
-    std::vector<const ForwardingEntry*> entries;
+    std::vector<std::int32_t> slots;
     std::int32_t stream_packets = 0;
     std::function<std::size_t(std::int32_t)> select;
   };
@@ -79,10 +79,7 @@ class FcfsNi final : public NetworkInterface {
 
  protected:
   void on_packet_received(const net::Packet& packet,
-                          const ForwardingEntry& entry) override;
-
- private:
-  std::unordered_map<net::MessageId, std::int32_t> arrivals_;
+                          MessageState& state) override;
 };
 
 }  // namespace nimcast::netif

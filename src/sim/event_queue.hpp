@@ -219,6 +219,11 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return size_; }
 
+  /// The pool behind oversized callbacks. Callers that park callbacks
+  /// outside the queue (netif::SerialServer continuations) place them
+  /// here too; they must release them before the queue dies.
+  [[nodiscard]] EventPool& pool() { return *pool_; }
+
   /// Pre-sizes the slot slab and bucket storage for `n` concurrent events.
   void reserve(std::size_t n);
 

@@ -224,6 +224,9 @@ class Simulator {
   /// driver uses it to size the next conservative window.
   [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Overflow storage for callbacks parked outside the queue (see
+  /// EventQueue::pool); lives as long as this simulator.
+  [[nodiscard]] EventPool& callback_pool() { return queue_.pool(); }
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
 
   /// Pre-sizes the event queue for `n` concurrent events.

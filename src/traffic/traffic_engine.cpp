@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -264,9 +263,8 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   }
   GroupScheduler sched{scfg, network.num_channels()};
 
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::NetworkInterface>>
-      nis;
-  std::unordered_map<topo::HostId, std::unique_ptr<netif::Host>> hosts;
+  mcast::PerHost<netif::NetworkInterface> nis{topology_.num_hosts()};
+  mcast::PerHost<netif::Host> hosts{topology_.num_hosts()};
   for (topo::HostId h : participants) {
     sim::Simulator& hsim = sim_for_host(h);
     nis.emplace(h, std::make_unique<netif::FpfsNi>(hsim, network,
@@ -284,18 +282,18 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
         entry.children = m.tree->children.at(h);
         entry.packet_count = m.packets;
         entry.is_destination = (h != m.tree->root);
-        nis.at(h)->install(message, entry);
+        nis[h].install(message, entry);
       }
     } else {
       netif::ForwardingEntry at_src;
       at_src.children = {m.dst};
       at_src.packet_count = m.packets;
       at_src.is_destination = false;
-      nis.at(m.src)->install(message, at_src);
+      nis[m.src].install(message, at_src);
       netif::ForwardingEntry at_dst;
       at_dst.packet_count = m.packets;
       at_dst.is_destination = true;
-      nis.at(m.dst)->install(message, at_dst);
+      nis[m.dst].install(message, at_dst);
     }
   }
 
@@ -315,15 +313,15 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
     logs.push_back(std::make_unique<CompletionLog>());
   }
 
-  for (auto& [h, ni] : nis) {
-    ni->on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
+  for (topo::HostId h : participants) {
+    nis[h].on_message_at_ni = [&](topo::HostId dest, net::MessageId msg) {
       const auto mi = static_cast<std::size_t>(msg - 1);
       CompletionLog& log = *logs[static_cast<std::size_t>(
           sharded_mode ? network.shard_of_host(dest) : 0)];
       log.arrivals.push_back(mi);
-      hosts.at(dest)->software_receive([&, logp = &log, dest, msg, mi] {
+      hosts[dest].software_receive([&, logp = &log, dest, msg, mi] {
         logp->host_done.emplace_back(mi, dest, sim_for_host(dest).now());
-        nis.at(dest)->after_host_receive(msg, *hosts.at(dest));
+        nis[dest].after_host_receive(msg, hosts[dest]);
       });
     };
   }
@@ -361,7 +359,7 @@ TrafficResult TrafficEngine::run(const Workload& workload) const {
   const auto launch_msg = [&](std::size_t i) {
     const auto message = static_cast<net::MessageId>(i + 1);
     const topo::HostId root = plans[i].root();
-    nis.at(root)->start_from_host(message, *hosts.at(root));
+    nis[root].start_from_host(message, hosts[root]);
   };
 
   // One coordinator sweep, run at every coordinated instant (arrival or

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
 
 namespace nimcast::netif {
 namespace {
@@ -166,6 +169,194 @@ TEST(SerialServerMultiWorker, LowPriorityStillYieldsToNormalLane) {
   ASSERT_EQ(order.size(), 4u);
   EXPECT_LT(std::find(order.begin(), order.end(), 2) - order.begin(),
             std::find(order.begin(), order.end(), 3) - order.begin());
+}
+
+// --- typed jobs mixed with continuations ---------------------------------
+//
+// The ordering contract: jobs start in FIFO order per lane, the normal
+// lane before the low lane, enqueue_front ahead of queued (but behind
+// in-service) work; a job runs before the server picks its next one, so
+// work it enqueues lands behind everything already queued. Typed jobs and
+// continuations share that one order.
+
+/// Runs typed jobs by logging (packet index, time) into a shared log and
+/// calling an optional per-job hook; continuations log with their own id.
+struct Recorder final : JobRunner {
+  sim::Simulator& simctx;
+  std::vector<std::pair<int, sim::Time>>& log;
+  std::function<void(const Job&)> hook;
+  Recorder(sim::Simulator& s, std::vector<std::pair<int, sim::Time>>& l)
+      : simctx{s}, log{l} {}
+  void run_job(const Job& job) override {
+    log.emplace_back(job.packet.packet_index, simctx.now());
+    if (hook) hook(job);
+  }
+};
+
+Job typed(double us, int id) {
+  Job job;
+  job.duration = sim::Time::us(us);
+  job.kind = JobKind::kInject;
+  job.packet.packet_index = id;
+  return job;
+}
+
+struct JobRig {
+  sim::Simulator simctx;
+  std::vector<std::pair<int, sim::Time>> log;
+  Recorder runner{simctx, log};
+  SerialServer server;
+  explicit JobRig(std::int32_t workers = 1)
+      : server{simctx, workers, &runner} {}
+
+  /// A continuation that logs `id`.
+  auto note(int id) {
+    return [this, id] { log.emplace_back(id, simctx.now()); };
+  }
+  [[nodiscard]] std::vector<int> order() const {
+    std::vector<int> ids;
+    for (const auto& [id, t] : log) ids.push_back(id);
+    return ids;
+  }
+};
+
+TEST(SerialServerJobs, TypedAndContinuationJobsStartFifo) {
+  JobRig rig;
+  rig.server.enqueue(typed(1.0, 0));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(1));
+  rig.server.enqueue(typed(2.0, 2));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(3));
+  rig.simctx.run();
+  const std::vector<std::pair<int, sim::Time>> want{
+      {0, sim::Time::us(1.0)},
+      {1, sim::Time::us(2.0)},
+      {2, sim::Time::us(4.0)},
+      {3, sim::Time::us(5.0)},
+  };
+  EXPECT_EQ(rig.log, want);
+  EXPECT_EQ(rig.server.parked(), 0u);
+}
+
+TEST(SerialServerJobs, TypedJobCarriesItsPacket) {
+  JobRig rig;
+  Job job = typed(1.0, 7);
+  job.packet.message = 42;
+  job.packet.dest = 3;
+  job.packet.tag = -5;
+  net::Packet seen;
+  rig.runner.hook = [&](const Job& j) { seen = j.packet; };
+  rig.server.enqueue(job);
+  rig.simctx.run();
+  EXPECT_EQ(seen.message, 42);
+  EXPECT_EQ(seen.packet_index, 7);
+  EXPECT_EQ(seen.dest, 3);
+  EXPECT_EQ(seen.tag, -5);
+}
+
+TEST(SerialServerJobs, EnqueueFrontLandsBehindInServiceWork) {
+  JobRig rig;
+  rig.server.enqueue(typed(2.0, 0));
+  rig.server.enqueue(typed(1.0, 1));
+  // Mid-service: front of the queue, but job 0 keeps its worker.
+  rig.simctx.schedule_at(sim::Time::us(1.0), [&] {
+    rig.server.enqueue_front(sim::Time::us(1.0), rig.note(2));
+  });
+  rig.simctx.run();
+  EXPECT_EQ(rig.order(), (std::vector<int>{0, 2, 1}));
+  EXPECT_EQ(rig.log[1].second, sim::Time::us(3.0));
+}
+
+TEST(SerialServerJobs, EnqueueFrontFromACompletionRunsNext) {
+  // A job's completion runs before the server picks its next job, so a
+  // front insert made there overtakes work that was already queued.
+  JobRig rig;
+  rig.runner.hook = [&](const Job& j) {
+    if (j.packet.packet_index == 0) rig.server.enqueue_front(typed(1.0, 2));
+  };
+  rig.server.enqueue(typed(1.0, 0));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(1));
+  rig.server.enqueue(sim::Time::us(1.0), [&] {
+    rig.log.emplace_back(3, rig.simctx.now());
+    rig.server.enqueue_front(sim::Time::us(1.0), rig.note(5));
+  });
+  rig.server.enqueue(typed(1.0, 4));
+  rig.simctx.run();
+  EXPECT_EQ(rig.order(), (std::vector<int>{0, 2, 1, 3, 5, 4}));
+}
+
+TEST(SerialServerJobs, LowLaneYieldsToNormalLane) {
+  JobRig rig;
+  rig.server.enqueue_low(typed(1.0, 0));  // idle server: starts at once
+  rig.server.enqueue_low(sim::Time::us(1.0), rig.note(3));
+  rig.server.enqueue_low(typed(1.0, 4));
+  rig.server.enqueue(typed(1.0, 1));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(2));
+  rig.simctx.run();
+  EXPECT_EQ(rig.order(), (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SerialServerJobs, WorkFromACompletionLandsBehindQueuedWork) {
+  JobRig rig;
+  rig.runner.hook = [&](const Job& j) {
+    if (j.packet.packet_index != 0) return;
+    rig.server.enqueue(sim::Time::us(1.0), rig.note(3));
+    rig.server.enqueue(typed(1.0, 4));
+  };
+  rig.server.enqueue(typed(1.0, 0));
+  rig.server.enqueue(sim::Time::us(1.0), [&] {
+    rig.log.emplace_back(1, rig.simctx.now());
+    rig.server.enqueue(typed(1.0, 5));
+  });
+  rig.server.enqueue(typed(1.0, 2));
+  rig.simctx.run();
+  EXPECT_EQ(rig.order(), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(rig.log.back().second, sim::Time::us(6.0));
+}
+
+TEST(SerialServerJobs, QueueGrowthAcrossAWrappedRingKeepsOrder) {
+  // Front inserts wrap the ring's head; growing it then must keep the
+  // queue in order.
+  JobRig rig;
+  rig.server.enqueue(typed(1.0, 0));  // in service
+  for (int i = 0; i < 5; ++i) rig.server.enqueue(typed(1.0, 10 + i));
+  for (int i = 0; i < 3; ++i) rig.server.enqueue_front(typed(1.0, 3 - i));
+  for (int i = 0; i < 20; ++i) {
+    rig.server.enqueue(sim::Time::us(1.0), rig.note(20 + i));
+  }
+  rig.simctx.run();
+  std::vector<int> want{0, 1, 2, 3, 10, 11, 12, 13, 14};
+  for (int i = 0; i < 20; ++i) want.push_back(20 + i);
+  EXPECT_EQ(rig.order(), want);
+  EXPECT_EQ(rig.server.queued(), 0u);
+  EXPECT_EQ(rig.server.parked(), 0u);
+}
+
+TEST(SerialServerJobs, MultiWorkerOutOfOrderCompletionsReuseSlots) {
+  // Three workers, unequal durations: completions arrive out of start
+  // order and freed in-service slots are refilled while others still
+  // run. Every job must complete exactly once, as itself, on time.
+  // Service intervals (us): 0: 0-5, 1: 0-1, 2: 0-3, 3: 1-2, 4: 2-6,
+  // 5: 3-3.5, 6: 3.5-4.5, 7: 4.5-6.5.
+  JobRig rig{3};
+  rig.server.enqueue(typed(5.0, 0));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(1));
+  rig.server.enqueue(typed(3.0, 2));
+  rig.server.enqueue(typed(1.0, 3));
+  rig.server.enqueue(sim::Time::us(4.0), rig.note(4));
+  rig.server.enqueue(typed(0.5, 5));
+  rig.server.enqueue(sim::Time::us(1.0), rig.note(6));
+  rig.server.enqueue(typed(2.0, 7));
+  rig.simctx.run();
+  const std::vector<std::pair<int, sim::Time>> want{
+      {1, sim::Time::us(1.0)}, {3, sim::Time::us(2.0)},
+      {2, sim::Time::us(3.0)}, {5, sim::Time::us(3.5)},
+      {6, sim::Time::us(4.5)}, {0, sim::Time::us(5.0)},
+      {4, sim::Time::us(6.0)}, {7, sim::Time::us(6.5)},
+  };
+  EXPECT_EQ(rig.log, want);
+  EXPECT_EQ(rig.server.busy_time(), sim::Time::us(17.5));
+  EXPECT_FALSE(rig.server.busy());
+  EXPECT_EQ(rig.server.parked(), 0u);
 }
 
 }  // namespace
